@@ -1,6 +1,8 @@
 /// Acceptance gate and load generator for the predictd fleet: spawns
 /// three real predictd children plus a predict-router child, then
-/// drives the distributed contract over TCP:
+/// drives the distributed contract over TCP. Every gate runs even after
+/// an earlier one failed, and the run ends with one pass/fail table
+/// (bench/gate_table.h):
 ///
 ///  1. **Transparency gate.** Predict requests, malformed lines and
 ///     stats probes through the 3-replica fleet must be byte-identical
@@ -9,6 +11,10 @@
 ///  2. **Scatter-gather gate.** A sweep through the router must be
 ///     byte-identical to evaluating the expanded grid point-by-point,
 ///     unsplit, against one replica and merging in grid order.
+///     **Sweep-repeat gate.** The same sweep sent again must be
+///     answered byte-identically with zero evaluations summed over the
+///     replicas' /stats: the ring sends each point to the owner that
+///     already answered it, so every point is a response-cache hit.
 ///  3. **Coalescing gate.** A pipelined duplicate-key burst through the
 ///     router must land on one replica and be served with fewer
 ///     evaluations than requests — consistent-hash placement keeps the
@@ -44,6 +50,7 @@
 #include <vector>
 
 #include "bench_flags.h"
+#include "gate_table.h"
 #include "common/statistics.h"
 #include "engine/sweep_format.h"
 #include "fleet/scatter.h"
@@ -56,9 +63,24 @@ namespace {
 using namespace mrperf;
 using SteadyClock = std::chrono::steady_clock;
 
+/// A spawned child process. The destructor SIGKILLs and reaps one that
+/// is still running, so no exit path leaks it.
 struct Child {
   pid_t pid = -1;
   int port = 0;
+
+  Child() = default;
+  Child(const Child&) = delete;
+  Child& operator=(const Child&) = delete;
+  ~Child() { Kill(); }
+
+  void Kill() {
+    if (pid > 0) {
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
+      pid = -1;
+    }
+  }
 };
 
 /// Forks `path` with `args`, reads the first stdout line and parses
@@ -106,14 +128,6 @@ bool SpawnChild(const std::string& path, const std::vector<std::string>& args,
   child->pid = pid;
   child->port = port;
   return true;
-}
-
-void KillChild(Child* child) {
-  if (child->pid > 0) {
-    kill(child->pid, SIGKILL);
-    waitpid(child->pid, nullptr, 0);
-    child->pid = -1;
-  }
 }
 
 /// SIGTERMs `child` and reaps it; true iff it drained and exited 0.
@@ -197,45 +211,41 @@ int main(int argc, char** argv) {
 
   constexpr int kReplicas = 3;
   std::vector<Child> replicas(kReplicas);
-  for (int i = 0; i < kReplicas; ++i) {
-    if (!SpawnChild(predictd_path,
-                    {"--port=0", "--threads=2",
-                     "--replica-id=r" + std::to_string(i)},
-                    "predictd listening on 127.0.0.1:%d", &replicas[i])) {
-      for (Child& r : replicas) KillChild(&r);
-      return 1;
-    }
+  Child router;
+  bool fleet_up = true;
+  for (int i = 0; i < kReplicas && fleet_up; ++i) {
+    fleet_up = SpawnChild(predictd_path,
+                          {"--port=0", "--threads=2",
+                           "--replica-id=r" + std::to_string(i)},
+                          "predictd listening on 127.0.0.1:%d", &replicas[i]);
   }
   std::string replica_list;
   for (int i = 0; i < kReplicas; ++i) {
     if (i > 0) replica_list += ',';
     replica_list += "127.0.0.1:" + std::to_string(replicas[i].port);
   }
-  Child router;
-  if (!SpawnChild(router_path,
-                  {"--port=0", "--replicas=" + replica_list,
-                   "--probe-interval-ms=50", "--failure-threshold=2"},
-                  "predict-router listening on 127.0.0.1:%d", &router)) {
-    for (Child& r : replicas) KillChild(&r);
-    return 1;
+  fleet_up = fleet_up &&
+             SpawnChild(router_path,
+                        {"--port=0", "--replicas=" + replica_list,
+                         "--probe-interval-ms=50", "--failure-threshold=2"},
+                        "predict-router listening on 127.0.0.1:%d", &router);
+  if (fleet_up) {
+    std::printf("fleet up: %d replicas (%s) behind router on port %d\n",
+                kReplicas, replica_list.c_str(), router.port);
   }
-  std::printf("fleet up: %d replicas (%s) behind router on port %d\n",
-              kReplicas, replica_list.c_str(), router.port);
-  const auto teardown = [&] {
-    KillChild(&router);
-    for (Child& r : replicas) KillChild(&r);
+  const auto require_fleet = [&fleet_up] {
+    return fleet_up ? Status::OK()
+                    : Status::Unavailable("the fleet did not start");
   };
+  bench::GateTable gates;
 
   // ---- Gate 1: the router is transparent -------------------------------
-  {
+  gates.Run("transparency", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(require_fleet());
     PredictClient via_router;
     PredictClient direct;
-    if (!via_router.Connect("127.0.0.1", router.port).ok() ||
-        !direct.Connect("127.0.0.1", replicas[0].port).ok()) {
-      std::fprintf(stderr, "transparency gate: connect failed\n");
-      teardown();
-      return 1;
-    }
+    MRPERF_RETURN_NOT_OK(via_router.Connect("127.0.0.1", router.port));
+    MRPERF_RETURN_NOT_OK(direct.Connect("127.0.0.1", replicas[0].port));
     const std::vector<std::string> probe_lines = {
         PredictLine("t0", 2, 1234),
         PredictLine("t1", 5, 1234),
@@ -248,75 +258,96 @@ int main(int argc, char** argv) {
       Result<std::string> routed = via_router.Call(line);
       Result<std::string> straight = direct.Call(line);
       if (!routed.ok() || !straight.ok() || *routed != *straight) {
-        std::fprintf(stderr,
-                     "transparency gate FAILED\n  sent: %s\n  router: %s\n"
-                     "  direct: %s\n",
-                     line.c_str(),
-                     routed.ok() ? routed->c_str() : "<transport error>",
-                     straight.ok() ? straight->c_str()
-                                   : "<transport error>");
-        teardown();
-        return 1;
+        return bench::GateFailure(
+            "\n  sent: %s\n  router: %s\n  direct: %s", line.c_str(),
+            routed.ok() ? routed->c_str() : "<transport error>",
+            straight.ok() ? straight->c_str() : "<transport error>");
       }
     }
     std::printf("transparency: %zu responses byte-identical through the "
                 "fleet\n",
                 probe_lines.size());
-  }
+    return Status::OK();
+  });
 
   // ---- Gate 2: scatter-gather matches the unsplit evaluation -----------
-  {
-    const std::string sweep =
-        R"({"kind":"sweep","id":"grid","nodes":[2,3,4],"reducers":[1,2],)"
-        R"("repetitions":1})";
-    Result<JsonValue> parsed = ParseJson(sweep);
-    Result<SweepExpansion> expanded = ExpandSweepRequest(*parsed);
-    if (!expanded.ok()) {
-      std::fprintf(stderr, "sweep expansion failed: %s\n",
-                   expanded.status().ToString().c_str());
-      teardown();
-      return 1;
-    }
+  const std::string sweep =
+      R"({"kind":"sweep","id":"grid","nodes":[2,3,4],"reducers":[1,2],)"
+      R"("repetitions":1})";
+  std::string sweep_answer;
+  gates.Run("scatter-gather", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(require_fleet());
+    MRPERF_ASSIGN_OR_RETURN(const JsonValue parsed, ParseJson(sweep));
+    MRPERF_ASSIGN_OR_RETURN(const SweepExpansion expanded,
+                            ExpandSweepRequest(parsed));
     PredictClient direct;
-    direct.Connect("127.0.0.1", replicas[0].port);
+    MRPERF_RETURN_NOT_OK(direct.Connect("127.0.0.1", replicas[0].port));
     std::vector<std::string> results;
-    for (const std::string& point : expanded->point_lines) {
-      Result<std::string> response = direct.Call(point);
-      if (!response.ok()) {
-        teardown();
-        return 1;
-      }
-      const PointOutcome outcome = ClassifyPointResponse(*response);
+    for (const std::string& point : expanded.point_lines) {
+      MRPERF_ASSIGN_OR_RETURN(const std::string response, direct.Call(point));
+      const PointOutcome outcome = ClassifyPointResponse(response);
       if (!outcome.ok) {
-        std::fprintf(stderr, "unsplit point failed: %s\n",
-                     outcome.error_message.c_str());
-        teardown();
-        return 1;
+        return bench::GateFailure("unsplit point failed: %s",
+                                  outcome.error_message.c_str());
       }
       results.push_back(outcome.result_object);
     }
     const std::string expected =
         MakeSweepResponse(std::string("grid"), results);
     PredictClient via_router;
-    via_router.Connect("127.0.0.1", router.port);
+    MRPERF_RETURN_NOT_OK(via_router.Connect("127.0.0.1", router.port));
     Result<std::string> gathered = via_router.Call(sweep);
     if (!gathered.ok() || *gathered != expected) {
-      std::fprintf(stderr,
-                   "scatter-gather gate FAILED\n  got:  %s\n  want: %s\n",
-                   gathered.ok() ? gathered->c_str() : "<transport error>",
-                   expected.c_str());
-      teardown();
-      return 1;
+      return bench::GateFailure(
+          "\n  got:  %s\n  want: %s",
+          gathered.ok() ? gathered->c_str() : "<transport error>",
+          expected.c_str());
     }
+    sweep_answer = *gathered;
     std::printf("scatter-gather: %zu-point sweep byte-identical to the "
                 "unsplit evaluation\n",
-                expanded->point_lines.size());
-  }
+                expanded.point_lines.size());
+    return Status::OK();
+  });
+
+  // ---- Gate 2b: a repeated sweep is answered without evaluating --------
+  double repeat_evaluations = -1.0;
+  gates.Run("sweep repeat", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(require_fleet());
+    if (sweep_answer.empty()) {
+      return bench::GateFailure("no sweep answer to repeat");
+    }
+    double evals_before = 0.0;
+    for (const Child& replica : replicas) {
+      evals_before += ReplicaStat(replica.port, "evaluations_total");
+    }
+    PredictClient via_router;
+    MRPERF_RETURN_NOT_OK(via_router.Connect("127.0.0.1", router.port));
+    MRPERF_ASSIGN_OR_RETURN(const std::string again, via_router.Call(sweep));
+    double evals_after = 0.0;
+    for (const Child& replica : replicas) {
+      evals_after += ReplicaStat(replica.port, "evaluations_total");
+    }
+    repeat_evaluations = evals_after - evals_before;
+    std::printf("sweep repeat: the same sweep again -> %.0f evaluations "
+                "across the replicas\n",
+                repeat_evaluations);
+    if (again != sweep_answer) {
+      return bench::GateFailure("\n  got:  %s\n  want: %s", again.c_str(),
+                                sweep_answer.c_str());
+    }
+    if (repeat_evaluations != 0.0) {
+      return bench::GateFailure("%.0f evaluations (want 0)",
+                                repeat_evaluations);
+    }
+    return Status::OK();
+  });
 
   // ---- Gate 3: duplicate keys coalesce fleet-wide ----------------------
   constexpr int kBurst = 32;
   double burst_evaluations = 0.0;
-  {
+  gates.Run("coalescing", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(require_fleet());
     std::vector<double> requests_before(kReplicas);
     std::vector<double> evals_before(kReplicas);
     for (int i = 0; i < kReplicas; ++i) {
@@ -324,7 +355,7 @@ int main(int argc, char** argv) {
       evals_before[i] = ReplicaStat(replicas[i].port, "evaluations_total");
     }
     PredictClient client;
-    client.Connect("127.0.0.1", router.port);
+    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", router.port));
     // One fresh key (unseen seed), duplicated under distinct ids and
     // pipelined so the duplicates are in flight together.
     for (int i = 0; i < kBurst; ++i) {
@@ -335,20 +366,14 @@ int main(int argc, char** argv) {
       Result<std::string> response = client.ReadLine();
       if (!response.ok() ||
           response->find("\"ok\": true") == std::string::npos) {
-        std::fprintf(stderr, "coalescing gate: burst response %d failed\n",
-                     i);
-        teardown();
-        return 1;
+        return bench::GateFailure("burst response %d failed", i);
       }
-      const std::string result = response->substr(
-          response->find("\"result\": "));
+      const std::string result =
+          response->substr(response->find("\"result\": "));
       if (i == 0) {
         first = result;
       } else if (result != first) {
-        std::fprintf(stderr, "coalescing gate: responses diverged at %d\n",
-                     i);
-        teardown();
-        return 1;
+        return bench::GateFailure("responses diverged at %d", i);
       }
     }
     int owners = 0;
@@ -366,19 +391,17 @@ int main(int argc, char** argv) {
       }
     }
     std::printf(
-        "coalescing: %d duplicate requests -> 1 owner replica (%d hit), "
-        "%.0f evaluations\n",
+        "coalescing: %d duplicate requests -> %d owner replica(s), %.0f "
+        "evaluations\n",
         kBurst, owners, burst_evaluations);
     if (owners != 1 || burst_requests != kBurst ||
         !(burst_evaluations >= 1.0) || !(burst_evaluations < kBurst)) {
-      std::fprintf(stderr,
-                   "coalescing gate FAILED: %d owner replicas, %.0f "
-                   "requests, %.0f evaluations\n",
-                   owners, burst_requests, burst_evaluations);
-      teardown();
-      return 1;
+      return bench::GateFailure(
+          "%d owner replicas, %.0f requests, %.0f evaluations", owners,
+          burst_requests, burst_evaluations);
     }
-  }
+    return Status::OK();
+  });
 
   // ---- Gate 4: SIGKILL a replica mid-load ------------------------------
   const size_t load_total = static_cast<size_t>(connections) *
@@ -387,7 +410,9 @@ int main(int argc, char** argv) {
   double wall_seconds = 0.0;
   long long killed_ok = 0;
   long long killed_structured = 0;
-  {
+  long long lost = 0;
+  gates.Run("failover", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(require_fleet());
     std::vector<std::vector<double>> per_client(
         static_cast<size_t>(connections));
     std::vector<long long> ok_count(static_cast<size_t>(connections), 0);
@@ -440,11 +465,10 @@ int main(int argc, char** argv) {
     // Let the load ramp, then hard-kill a replica (no drain, no warning:
     // SIGKILL models a crashed node).
     std::this_thread::sleep_for(std::chrono::milliseconds(smoke ? 30 : 80));
-    KillChild(&replicas[1]);
+    replicas[1].Kill();
     for (std::thread& t : clients) t.join();
     wall_seconds =
         std::chrono::duration<double>(SteadyClock::now() - start).count();
-    long long lost = 0;
     for (int c = 0; c < connections; ++c) {
       killed_ok += ok_count[static_cast<size_t>(c)];
       killed_structured += structured_count[static_cast<size_t>(c)];
@@ -459,92 +483,75 @@ int main(int argc, char** argv) {
         killed_ok, killed_structured, lost, load_total);
     if (lost != 0 ||
         killed_ok + killed_structured != static_cast<long long>(load_total)) {
-      std::fprintf(stderr,
-                   "failover gate FAILED: %lld responses lost (every "
-                   "admitted request must be answered)\n",
-                   lost);
-      teardown();
-      return 1;
+      return bench::GateFailure("%lld responses lost (every admitted "
+                                "request must be answered)",
+                                lost);
     }
     // After the dust settles, the dead replica's keys must be served by
     // the survivors: sweep the same key range again, all must succeed.
     PredictClient client;
-    client.Connect("127.0.0.1", router.port);
+    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", router.port));
     for (int nodes = 2; nodes < 14; ++nodes) {
       Result<std::string> response =
           client.Call(PredictLine("post-kill", nodes, 7000));
       if (!response.ok() ||
           response->find("\"ok\": true") == std::string::npos) {
-        std::fprintf(stderr,
-                     "failover gate FAILED: nodes=%d not re-routed after "
-                     "the kill\n",
-                     nodes);
-        teardown();
-        return 1;
+        return bench::GateFailure("nodes=%d not re-routed after the kill",
+                                  nodes);
       }
     }
-  }
+    return Status::OK();
+  });
 
   // ---- Gate 5: router observability ------------------------------------
-  {
+  gates.Run("observability", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(require_fleet());
     std::string status_line;
     std::string body;
     if (!HttpGet(router.port, "/metrics", &status_line, &body) ||
         status_line.find("200") == std::string::npos) {
-      std::fprintf(stderr, "observability gate FAILED: GET /metrics -> "
-                           "'%s'\n",
-                   status_line.c_str());
-      teardown();
-      return 1;
+      return bench::GateFailure("GET /metrics -> '%s'", status_line.c_str());
     }
     const Status valid = ValidatePrometheusText(body);
     if (!valid.ok()) {
-      std::fprintf(stderr, "observability gate FAILED: %s\n%s",
-                   valid.ToString().c_str(), body.c_str());
-      teardown();
-      return 1;
+      return bench::GateFailure("%s\n%s", valid.ToString().c_str(),
+                                body.c_str());
     }
     for (const char* needle :
          {"predict_router_requests_total", "predict_router_rerouted_total",
           "predict_router_replica_healthy"}) {
       if (body.find(needle) == std::string::npos) {
-        std::fprintf(stderr, "observability gate FAILED: missing '%s'\n",
-                     needle);
-        teardown();
-        return 1;
+        return bench::GateFailure("missing '%s'", needle);
       }
     }
     std::string stats_status;
     std::string stats_body;
     if (!HttpGet(router.port, "/stats", &stats_status, &stats_body) ||
         stats_body.find("\"healthy\": false") == std::string::npos) {
-      std::fprintf(stderr,
-                   "observability gate FAILED: /stats does not report the "
-                   "killed replica unhealthy:\n%s\n",
-                   stats_body.c_str());
-      teardown();
-      return 1;
+      return bench::GateFailure(
+          "/stats does not report the killed replica unhealthy:\n%s",
+          stats_body.c_str());
     }
     std::printf("observability: /metrics valid, /stats reports the dead "
                 "replica\n");
-  }
+    return Status::OK();
+  });
 
   // ---- Gate 6: clean drain ---------------------------------------------
-  if (!StopChildGracefully(&router)) {
-    std::fprintf(stderr, "drain gate FAILED: router did not exit 0\n");
-    teardown();
-    return 1;
-  }
-  for (int i = 0; i < kReplicas; ++i) {
-    if (i == 1) continue;  // SIGKILLed in gate 4
-    if (!StopChildGracefully(&replicas[i])) {
-      std::fprintf(stderr, "drain gate FAILED: replica %d did not exit 0\n",
-                   i);
-      teardown();
-      return 1;
+  gates.Run("drain", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(require_fleet());
+    if (!StopChildGracefully(&router)) {
+      return bench::GateFailure("router did not exit 0");
     }
-  }
-  std::printf("drain: router and surviving replicas exited cleanly\n");
+    for (int i = 0; i < kReplicas; ++i) {
+      if (i == 1) continue;  // SIGKILLed in gate 4
+      if (!StopChildGracefully(&replicas[i])) {
+        return bench::GateFailure("replica %d did not exit 0", i);
+      }
+    }
+    std::printf("drain: router and surviving replicas exited cleanly\n");
+    return Status::OK();
+  });
 
   if (!json_out.empty()) {
     const double p50 = Percentile(latencies_ms, 50).ValueOr(0);
@@ -567,9 +574,11 @@ int main(int argc, char** argv) {
     out += "}, \"burst\": {\"requests\": " + std::to_string(kBurst) +
            ", \"evaluations\": ";
     AppendJsonDouble(out, burst_evaluations);
+    out += "}, \"sweep_repeat\": {\"evaluations\": ";
+    AppendJsonDouble(out, repeat_evaluations);
     out += "}, \"failover\": {\"ok\": " + std::to_string(killed_ok) +
            ", \"structured_errors\": " + std::to_string(killed_structured) +
-           ", \"lost\": 0}}\n";
+           ", \"lost\": " + std::to_string(lost) + "}}\n";
     std::FILE* f = std::fopen(json_out.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
@@ -579,6 +588,5 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("wrote %s\n", json_out.c_str());
   }
-  std::printf("bench_fleet_load: all gates passed\n");
-  return 0;
+  return gates.PrintSummary("bench_fleet_load") ? 0 : 1;
 }

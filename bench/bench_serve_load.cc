@@ -1,6 +1,8 @@
 /// Closed-loop load generator and acceptance gate for predictd, the
-/// online prediction daemon (src/serve/). Spawns a real predictd child
-/// process, then drives four phases over TCP:
+/// online prediction daemon (src/serve/). Spawns real predictd child
+/// processes and drives these phases over TCP. Every phase runs even
+/// after an earlier one failed, and the run ends with one pass/fail
+/// table (bench/gate_table.h):
 ///
 ///  1. **Determinism gate.** A mixed scenario batch (schedulers,
 ///     profiles, heterogeneous clusters, model-only) is served and every
@@ -10,26 +12,31 @@
 ///     request seeds never depend on batch composition.
 ///  2. **Coalescing gate.** A pipelined duplicate burst must be served
 ///     with fewer evaluations than requests (in-flight coalescing) and a
-///     nonzero MVA-cache hit rate.
-///  3. **Load phase.** Closed-loop clients measure end-to-end latency;
-///     p50/p95/p99 + throughput go to BENCH_serve_load.json for the CI
-///     perf trajectory. Also checks malformed lines get structured
-///     errors without dropping the connection.
+///     nonzero solve-cache hit rate.
+///     **Repeat gate.** Once the burst resolved, its key sent once more
+///     must cost no evaluation and one response-cache hit, with the
+///     burst's result bytes.
+///  3. **Load phase.** Closed-loop clients replay the phase-1 mix (now
+///     answered from the response cache) and measure end-to-end
+///     latency; p50/p95/p99 + throughput go to BENCH_serve_load.json for
+///     the CI perf trajectory. Also checks malformed lines get
+///     structured errors without dropping the connection.
 ///  4. **Drain gate.** Requests are admitted, SIGTERM is sent, and every
 ///     admitted request must still receive its response before the child
 ///     exits 0.
-///  5. **Contention gate.** In-process: 8 threads hammer hot keys of a
+///  5. **Shard-spread gate.** In-process: 8 threads hammer hot keys of a
 ///     prewarmed single-mutex MvaSolveCache and a 16-shard
-///     ShardedSolveCache (best-of-3 each); the sharded cache must be
-///     strictly faster — the lock-splitting claim measured directly.
-///     Enforced only on >= 2 hardware threads: on a single-CPU box no
-///     two lock holders ever run in parallel, so lock splitting cannot
-///     win wall-clock there (the column is still measured and recorded).
+///     ShardedSolveCache (best-of-3 each). Both timings are report-only
+///     JSON columns (a wall-clock comparison flips on a loaded runner);
+///     the gate reads the sharded cache's per-shard counters: the hot
+///     keys must spread over more than one shard, and the per-shard hits
+///     must sum to every lookup made.
 ///  6. **Warm-restart gate.** A fresh predictd runs with --cache-file,
 ///     serves distinct model-only predicts, and is SIGTERMed (writing a
 ///     checkpoint on drain). A second predictd recovering that file must
-///     report the recovery in /stats, hit the cache on its first
-///     request, and answer every replayed request byte-identically.
+///     report the recovery in /stats, hit the solve cache while
+///     re-evaluating the replayed requests (answers are not persisted),
+///     and answer every one byte-identically.
 ///  7. **C10k gate.** A fresh predictd (1 worker, 2 event-loop threads)
 ///     holds >= 1000 idle connections while 64 active clients pipeline
 ///     bursts on top: every response ordered, served on the fixed loop
@@ -37,12 +44,15 @@
 ///  8. **QoS gate.** Bulk clients saturate the queue with distinct
 ///     evaluations while an interactive client interleaves requests:
 ///     server-side interactive p99 must beat bulk p99. Then requests
-///     with deadline_ms=1 behind a parked backlog must each get a
-///     structured answer — deadline_exceeded is never silently dropped
-///     and the stats counter matches the responses observed.
+///     with deadline_ms=1 and keys no earlier phase answered, queued
+///     behind a parked backlog, must each get a structured answer —
+///     deadline_exceeded is never silently dropped and the stats counter
+///     matches the responses observed.
 ///  9. **Metrics gate.** GET /metrics over the same port must parse as
 ///     valid Prometheus text exposition (ValidatePrometheusText) and
-///     carry the per-priority latency histogram.
+///     carry the per-priority latency histogram and the response-cache
+///     families. A final gate SIGTERMs that child with the idle
+///     connections still parked and requires exit 0.
 ///
 /// Flags: --predictd=PATH (default ./predictd), --threads=N (server
 /// workers, default 4), --connections=C (default 4), --requests=M per
@@ -71,6 +81,7 @@
 #include "engine/sweep_format.h"
 #include "engine/sweep_runner.h"
 #include "figure_common.h"
+#include "gate_table.h"
 #include "queueing/mva_cache.h"
 #include "queueing/sharded_solve_cache.h"
 #include "serve/client.h"
@@ -83,9 +94,24 @@ namespace {
 using namespace mrperf;
 using SteadyClock = std::chrono::steady_clock;
 
+/// A spawned predictd. The destructor SIGKILLs and reaps a child that
+/// is still running, so no exit path of a phase leaks one.
 struct ChildServer {
   pid_t pid = -1;
   int port = 0;
+
+  ChildServer() = default;
+  ChildServer(const ChildServer&) = delete;
+  ChildServer& operator=(const ChildServer&) = delete;
+  ~ChildServer() { Kill(); }
+
+  void Kill() {
+    if (pid > 0) {
+      kill(pid, SIGKILL);
+      waitpid(pid, nullptr, 0);
+      pid = -1;
+    }
+  }
 };
 
 bool SpawnPredictd(const std::string& path, int threads, ChildServer* child,
@@ -139,14 +165,6 @@ bool SpawnPredictd(const std::string& path, int threads, ChildServer* child,
   return true;
 }
 
-void KillChild(ChildServer* child) {
-  if (child->pid > 0) {
-    kill(child->pid, SIGKILL);
-    waitpid(child->pid, nullptr, 0);
-    child->pid = -1;
-  }
-}
-
 /// Extracts stats.<key> from a stats response line.
 double StatsField(const std::string& response, const std::string& key) {
   Result<JsonValue> parsed = ParseJson(response);
@@ -158,12 +176,15 @@ double StatsField(const std::string& response, const std::string& key) {
   return field->number_value();
 }
 
-double CacheField(const std::string& response, const std::string& key) {
+/// Extracts stats.<object>.<key>, e.g. ("cache", "hits") or
+/// ("response_cache", "hits").
+double StatsObjectField(const std::string& response, const char* object,
+                        const char* key) {
   Result<JsonValue> parsed = ParseJson(response);
   if (!parsed.ok()) return -1.0;
   const JsonValue* stats = parsed->Find("stats");
-  const JsonValue* cache = stats ? stats->Find("cache") : nullptr;
-  const JsonValue* field = cache ? cache->Find(key) : nullptr;
+  const JsonValue* inner = stats ? stats->Find(object) : nullptr;
+  const JsonValue* field = inner ? inner->Find(key) : nullptr;
   if (field == nullptr || !field->is_number()) return -1.0;
   return field->number_value();
 }
@@ -219,6 +240,12 @@ bool OfflineExpectedResponses(const std::vector<std::string>& lines,
     expected->push_back(MakePredictResponse(ids[i], *report.results[i]));
   }
   return true;
+}
+
+/// OK while `child` runs: a phase that needs it fails cleanly without.
+Status Running(const ChildServer& child) {
+  return child.pid > 0 ? Status::OK()
+                       : Status::Unavailable("predictd is not running");
 }
 
 /// SIGTERMs `child` and reaps it; true iff it drained and exited 0.
@@ -372,126 +399,148 @@ int main(int argc, char** argv) {
       std::max(1, args.IntFlag("--requests", smoke ? 5 : 10));
   if (!args.Validate()) return 2;
 
+  bench::GateTable gates;
+  // Phases 1-4 share this child; each fails cleanly without it.
   ChildServer child;
-  if (!SpawnPredictd(predictd_path, threads, &child)) return 1;
-  std::printf("predictd up on port %d (pid %d, %d workers)\n", child.port,
-              static_cast<int>(child.pid), threads);
+  if (SpawnPredictd(predictd_path, threads, &child)) {
+    std::printf("predictd up on port %d (pid %d, %d workers)\n", child.port,
+                static_cast<int>(child.pid), threads);
+  }
 
   // ---- Phase 1: determinism gate --------------------------------------
   const std::vector<std::string> mix = ScenarioMix();
-  std::vector<std::string> expected;
-  if (!OfflineExpectedResponses(mix, &expected)) {
-    KillChild(&child);
-    return 1;
-  }
-  {
-    PredictClient client;
-    if (Status s = client.Connect("127.0.0.1", child.port); !s.ok()) {
-      std::fprintf(stderr, "connect: %s\n", s.ToString().c_str());
-      KillChild(&child);
-      return 1;
+  gates.Run("determinism", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(child));
+    std::vector<std::string> expected;
+    if (!OfflineExpectedResponses(mix, &expected)) {
+      return bench::GateFailure("offline evaluation failed");
     }
+    PredictClient client;
+    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", child.port));
     for (const std::string& line : mix) client.SendLine(line);  // pipelined
     for (size_t i = 0; i < mix.size(); ++i) {
       Result<std::string> response = client.ReadLine();
       if (!response.ok() || *response != expected[i]) {
-        std::fprintf(stderr,
-                     "determinism gate FAILED for request %zu\n  sent: "
-                     "%s\n  got:  %s\n  want: %s\n",
-                     i, mix[i].c_str(),
-                     response.ok() ? response->c_str()
-                                   : response.status().ToString().c_str(),
-                     expected[i].c_str());
-        KillChild(&child);
-        return 1;
+        return bench::GateFailure(
+            "request %zu differs\n  sent: %s\n  got:  %s\n  want: %s", i,
+            mix[i].c_str(),
+            response.ok() ? response->c_str()
+                          : response.status().ToString().c_str(),
+            expected[i].c_str());
       }
     }
-  }
-  std::printf("determinism: %zu served responses byte-identical to "
-              "offline SweepRunner\n",
-              mix.size());
+    std::printf("determinism: %zu served responses byte-identical to "
+                "offline SweepRunner\n",
+                mix.size());
+    return Status::OK();
+  });
 
   // ---- Phase 2: duplicate burst / coalescing gate ---------------------
-  PredictClient stats_client;
-  if (Status s = stats_client.Connect("127.0.0.1", child.port); !s.ok()) {
-    std::fprintf(stderr, "stats connect: %s\n", s.ToString().c_str());
-    KillChild(&child);
-    return 1;
-  }
-  Result<std::string> stats_before =
-      stats_client.Call(R"({"kind":"stats"})");
-  if (!stats_before.ok()) {
-    std::fprintf(stderr, "stats call failed\n");
-    KillChild(&child);
-    return 1;
-  }
   constexpr int kBurst = 32;
-  {
+  // A fresh point (not in phase 1), sent under many ids.
+  const auto burst_line = [](const std::string& id) {
+    return R"({"id":")" + id +
+           R"(","nodes":3,"input_gb":0.25,"jobs":2,"repetitions":2,)"
+           R"("profile":"terasort"})";
+  };
+  const auto result_bytes = [](const std::string& response) {
+    const size_t at = response.find("\"result\": ");
+    return at == std::string::npos ? std::string() : response.substr(at);
+  };
+  PredictClient stats_client;
+  if (child.pid > 0) stats_client.Connect("127.0.0.1", child.port);
+  const auto call_stats = [&stats_client]() -> Result<std::string> {
+    return stats_client.Call(R"({"kind":"stats"})");
+  };
+  double burst_evals = 0.0;
+  double cache_hit_rate = 0.0;
+  std::string burst_result;
+  gates.Run("coalescing", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(child));
+    MRPERF_ASSIGN_OR_RETURN(const std::string before, call_stats());
     PredictClient client;
-    client.Connect("127.0.0.1", child.port);
-    // Fresh point (not in phase 1), duplicated: coalescing, then cache.
+    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", child.port));
     for (int i = 0; i < kBurst; ++i) {
-      client.SendLine(R"({"id":"dup)" + std::to_string(i) +
-                      R"(","nodes":3,"input_gb":0.25,"jobs":2,)"
-                      R"("repetitions":2,"profile":"terasort"})");
+      client.SendLine(burst_line("dup" + std::to_string(i)));
     }
-    std::string first_result;
     for (int i = 0; i < kBurst; ++i) {
       Result<std::string> response = client.ReadLine();
       if (!response.ok() ||
           response->find("\"ok\": true") == std::string::npos) {
-        std::fprintf(stderr, "burst response %d failed\n", i);
-        KillChild(&child);
-        return 1;
+        return bench::GateFailure("burst response %d failed", i);
       }
       // Identical result bytes for every duplicate, whatever its id.
-      const size_t at = response->find("\"result\": ");
-      const std::string result = response->substr(at);
+      const std::string result = result_bytes(*response);
       if (i == 0) {
-        first_result = result;
-      } else if (result != first_result) {
-        std::fprintf(stderr, "burst responses diverged at %d\n", i);
-        KillChild(&child);
-        return 1;
+        burst_result = result;
+      } else if (result != burst_result) {
+        return bench::GateFailure("burst responses diverged at %d", i);
       }
     }
-  }
-  Result<std::string> stats_after = stats_client.Call(R"({"kind":"stats"})");
-  if (!stats_after.ok()) {
-    KillChild(&child);
-    return 1;
-  }
-  const double burst_requests = StatsField(*stats_after, "requests_total") -
-                                StatsField(*stats_before, "requests_total");
-  const double burst_evals =
-      StatsField(*stats_after, "evaluations_total") -
-      StatsField(*stats_before, "evaluations_total");
-  const double cache_hit_rate = CacheField(*stats_after, "hit_rate");
-  std::printf(
-      "coalescing: %d duplicate requests -> %.0f evaluations "
-      "(coalesced_total %.0f, cache hit rate %.3f)\n",
-      kBurst, burst_evals, StatsField(*stats_after, "coalesced_total"),
-      cache_hit_rate);
-  if (burst_requests != kBurst || burst_evals >= kBurst ||
-      burst_evals < 1.0) {
-    std::fprintf(stderr,
-                 "coalescing gate FAILED: %.0f requests, %.0f "
-                 "evaluations\n",
-                 burst_requests, burst_evals);
-    KillChild(&child);
-    return 1;
-  }
-  if (!(cache_hit_rate > 0.0)) {
-    std::fprintf(stderr, "cache gate FAILED: hit rate %.3f\n",
-                 cache_hit_rate);
-    KillChild(&child);
-    return 1;
-  }
+    MRPERF_ASSIGN_OR_RETURN(const std::string after, call_stats());
+    const double burst_requests = StatsField(after, "requests_total") -
+                                  StatsField(before, "requests_total");
+    burst_evals = StatsField(after, "evaluations_total") -
+                  StatsField(before, "evaluations_total");
+    cache_hit_rate = StatsObjectField(after, "cache", "hit_rate");
+    std::printf(
+        "coalescing: %d duplicate requests -> %.0f evaluations "
+        "(coalesced_total %.0f, solve-cache hit rate %.3f)\n",
+        kBurst, burst_evals, StatsField(after, "coalesced_total"),
+        cache_hit_rate);
+    if (burst_requests != kBurst || burst_evals >= kBurst ||
+        burst_evals < 1.0) {
+      return bench::GateFailure("%.0f requests, %.0f evaluations",
+                                burst_requests, burst_evals);
+    }
+    if (!(cache_hit_rate > 0.0)) {
+      return bench::GateFailure("solve-cache hit rate %.3f", cache_hit_rate);
+    }
+    return Status::OK();
+  });
+
+  // ---- Phase 2b: a resolved key repeats as a lookup -------------------
+  double repeat_evals = -1.0;
+  double repeat_hits = -1.0;
+  gates.Run("repeat", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(child));
+    if (burst_result.empty()) {
+      return bench::GateFailure("no burst answer to repeat");
+    }
+    MRPERF_ASSIGN_OR_RETURN(const std::string before, call_stats());
+    PredictClient client;
+    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", child.port));
+    MRPERF_ASSIGN_OR_RETURN(const std::string response,
+                            client.Call(burst_line("dup-repeat")));
+    MRPERF_ASSIGN_OR_RETURN(const std::string after, call_stats());
+    repeat_evals = StatsField(after, "evaluations_total") -
+                   StatsField(before, "evaluations_total");
+    repeat_hits = StatsObjectField(after, "response_cache", "hits") -
+                  StatsObjectField(before, "response_cache", "hits");
+    std::printf("repeat: the burst key once more -> %.0f evaluations, %.0f "
+                "response-cache hits\n",
+                repeat_evals, repeat_hits);
+    if (result_bytes(response) != burst_result) {
+      return bench::GateFailure("repeat answer differs from the burst's: %s",
+                                response.c_str());
+    }
+    if (repeat_evals != 0.0 || repeat_hits != 1.0) {
+      return bench::GateFailure(
+          "%.0f evaluations and %.0f response-cache hits (want 0 and 1)",
+          repeat_evals, repeat_hits);
+    }
+    return Status::OK();
+  });
 
   // ---- Phase 3: closed-loop load + malformed-line check ---------------
+  // The mix was answered in phase 1, so this load is served from the
+  // response cache: it measures the lookup path end to end.
   std::vector<double> latencies_ms;
   double wall_seconds = 0.0;
-  {
+  const size_t load_total = static_cast<size_t>(connections) *
+                            static_cast<size_t>(requests_per_connection);
+  gates.Run("load", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(child));
     std::vector<std::thread> clients;
     std::vector<std::vector<double>> per_client(
         static_cast<size_t>(connections));
@@ -519,54 +568,50 @@ int main(int argc, char** argv) {
     for (const auto& v : per_client) {
       latencies_ms.insert(latencies_ms.end(), v.begin(), v.end());
     }
-  }
-  const size_t load_total =
-      static_cast<size_t>(connections) *
-      static_cast<size_t>(requests_per_connection);
-  if (latencies_ms.size() != load_total) {
-    std::fprintf(stderr, "load phase FAILED: %zu/%zu responses\n",
-                 latencies_ms.size(), load_total);
-    KillChild(&child);
-    return 1;
-  }
+    if (latencies_ms.size() != load_total) {
+      return bench::GateFailure("%zu/%zu responses", latencies_ms.size(),
+                                load_total);
+    }
+    std::printf(
+        "load: %zu requests over %d connections in %.2fs -> %.1f req/s, "
+        "latency p50/p95/p99 = %.1f/%.1f/%.1f ms\n",
+        load_total, connections, wall_seconds,
+        wall_seconds > 0 ? static_cast<double>(load_total) / wall_seconds
+                         : 0.0,
+        Percentile(latencies_ms, 50).ValueOr(0),
+        Percentile(latencies_ms, 95).ValueOr(0),
+        Percentile(latencies_ms, 99).ValueOr(0));
+
+    // Malformed lines are answered, not disconnected.
+    PredictClient client;
+    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", child.port));
+    Result<std::string> garbage = client.Call("this is not json");
+    if (!garbage.ok() ||
+        garbage->find("\"code\": \"parse_error\"") == std::string::npos) {
+      return bench::GateFailure("malformed line not answered parse_error");
+    }
+    Result<std::string> still_alive = client.Call(mix[0]);
+    if (!still_alive.ok() ||
+        still_alive->find("\"ok\": true") == std::string::npos) {
+      return bench::GateFailure("connection did not survive a malformed "
+                                "line");
+    }
+    return Status::OK();
+  });
   const double p50 = Percentile(latencies_ms, 50).ValueOr(0);
   const double p95 = Percentile(latencies_ms, 95).ValueOr(0);
   const double p99 = Percentile(latencies_ms, 99).ValueOr(0);
   const double throughput =
       wall_seconds > 0 ? static_cast<double>(load_total) / wall_seconds : 0;
-  std::printf(
-      "load: %zu requests over %d connections in %.2fs -> %.1f req/s, "
-      "latency p50/p95/p99 = %.1f/%.1f/%.1f ms\n",
-      load_total, connections, wall_seconds, throughput, p50, p95, p99);
-
-  {
-    // Malformed lines are answered, not disconnected.
-    PredictClient client;
-    client.Connect("127.0.0.1", child.port);
-    Result<std::string> garbage = client.Call("this is not json");
-    if (!garbage.ok() ||
-        garbage->find("\"code\": \"parse_error\"") == std::string::npos) {
-      std::fprintf(stderr, "malformed-line check FAILED\n");
-      KillChild(&child);
-      return 1;
-    }
-    Result<std::string> still_alive = client.Call(mix[0]);
-    if (!still_alive.ok() ||
-        still_alive->find("\"ok\": true") == std::string::npos) {
-      std::fprintf(stderr, "connection did not survive malformed line\n");
-      KillChild(&child);
-      return 1;
-    }
-  }
 
   // ---- Phase 4: SIGTERM drain gate ------------------------------------
   constexpr int kDrainRequests = 8;
-  {
-    const double admitted_before =
-        StatsField(*stats_client.Call(R"({"kind":"stats"})"), /*key=*/
-                   "requests_total");
+  gates.Run("drain", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(child));
+    MRPERF_ASSIGN_OR_RETURN(const std::string before, call_stats());
+    const double admitted_before = StatsField(before, "requests_total");
     PredictClient client;
-    client.Connect("127.0.0.1", child.port);
+    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", child.port));
     for (int i = 0; i < kDrainRequests; ++i) {
       // Fresh points the cache has not seen, so the drain has real work.
       client.SendLine(R"({"id":"d)" + std::to_string(i) +
@@ -577,14 +622,12 @@ int main(int argc, char** argv) {
     // Wait until all are admitted (visible in requests_total), then pull
     // the plug: the drain must still answer every one of them.
     for (int spin = 0;; ++spin) {
-      const double admitted = StatsField(
-          *stats_client.Call(R"({"kind":"stats"})"), "requests_total");
-      if (admitted - admitted_before >= kDrainRequests) break;
-      if (spin > 2000) {
-        std::fprintf(stderr, "drain gate: requests never admitted\n");
-        KillChild(&child);
-        return 1;
+      MRPERF_ASSIGN_OR_RETURN(const std::string now, call_stats());
+      if (StatsField(now, "requests_total") - admitted_before >=
+          kDrainRequests) {
+        break;
       }
+      if (spin > 2000) return bench::GateFailure("requests never admitted");
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     kill(child.pid, SIGTERM);
@@ -592,42 +635,45 @@ int main(int argc, char** argv) {
       Result<std::string> response = client.ReadLine();
       if (!response.ok() ||
           response->find("\"ok\": true") == std::string::npos) {
-        std::fprintf(stderr, "drain gate FAILED: response %d missing "
-                             "after SIGTERM (%s)\n",
-                     i,
-                     response.ok()
-                         ? response->c_str()
-                         : response.status().ToString().c_str());
-        KillChild(&child);
-        return 1;
+        return bench::GateFailure(
+            "response %d missing after SIGTERM (%s)", i,
+            response.ok() ? response->c_str()
+                          : response.status().ToString().c_str());
       }
     }
     // After the drain the server closes the session.
     Result<std::string> eof = client.ReadLine();
     if (eof.ok()) {
-      std::fprintf(stderr, "expected EOF after drain, got: %s\n",
-                   eof->c_str());
-      KillChild(&child);
-      return 1;
+      return bench::GateFailure("expected EOF after drain, got: %s",
+                                eof->c_str());
     }
-  }
-  int wait_status = 0;
-  if (waitpid(child.pid, &wait_status, 0) != child.pid ||
-      !WIFEXITED(wait_status) || WEXITSTATUS(wait_status) != 0) {
-    std::fprintf(stderr, "predictd did not exit cleanly (status %d)\n",
-                 wait_status);
-    return 1;
-  }
-  child.pid = -1;
-  std::printf("drain: %d admitted requests answered after SIGTERM, "
-              "clean exit\n",
-              kDrainRequests);
+    int wait_status = 0;
+    const bool reaped = waitpid(child.pid, &wait_status, 0) == child.pid;
+    child.pid = -1;
+    if (!reaped || !WIFEXITED(wait_status) ||
+        WEXITSTATUS(wait_status) != 0) {
+      return bench::GateFailure("predictd did not exit cleanly (status %d)",
+                                wait_status);
+    }
+    std::printf("drain: %d admitted requests answered after SIGTERM, "
+                "clean exit\n",
+                kDrainRequests);
+    return Status::OK();
+  });
+  child.Kill();
 
-  // ---- Phase 5: shard-contention gate (in-process) --------------------
+  // ---- Phase 5: shard spread (in-process) -----------------------------
+  // The single-mutex vs 16-shard timings are report-only: a wall-clock
+  // comparison flips on a loaded runner. The gate checks the mechanism
+  // itself from the per-shard counters: the hot keys spread over more
+  // than one shard, and every lookup landed in some shard as a hit.
   constexpr int kContentionThreads = 8;
+  constexpr int kContentionRounds = 3;
+  const int contention_iters = smoke ? 50000 : 200000;
   double single_ms = 0.0;
   double sharded_ms = 0.0;
-  {
+  int shards_hit = 0;
+  gates.Run("shard spread", [&]() -> Status {
     // A hot working set standing in for the serving steady state: every
     // lookup hits, so the measured cost is the shard lock plus the
     // solution copy taken under it. Both caches hold identical entries.
@@ -645,45 +691,48 @@ int main(int argc, char** argv) {
       single_cache.Insert(key, payload);
       sharded_cache.Insert(key, payload);
     }
-    const int iters = smoke ? 50000 : 200000;
-    constexpr int kRounds = 3;
     single_ms = 1e3 * BestHotKeyLookupSeconds(single_cache, keys,
-                                              kContentionThreads, iters,
-                                              kRounds);
+                                              kContentionThreads,
+                                              contention_iters,
+                                              kContentionRounds);
     sharded_ms = 1e3 * BestHotKeyLookupSeconds(sharded_cache, keys,
-                                               kContentionThreads, iters,
-                                               kRounds);
-    std::printf(
-        "contention: %d threads x %d hot lookups -> single-mutex %.1f ms, "
-        "%d shards %.1f ms (%.2fx)\n",
-        kContentionThreads, iters, single_ms, sharded_cache.shard_count(),
-        sharded_ms, sharded_ms > 0 ? single_ms / sharded_ms : 0.0);
-    const unsigned hw_threads = std::thread::hardware_concurrency();
-    if (hw_threads >= 2) {
-      if (!(sharded_ms < single_ms)) {
-        std::fprintf(stderr,
-                     "contention gate FAILED: sharded cache (%.1f ms) not "
-                     "faster than single mutex (%.1f ms) at %d threads\n",
-                     sharded_ms, single_ms, kContentionThreads);
-        return 1;
-      }
-    } else {
-      // One CPU: lock holders never overlap in time, so splitting the
-      // lock can only add hash overhead. Measured, recorded, not gated.
-      std::printf(
-          "contention gate skipped: %u hardware thread(s) cannot exhibit "
-          "lock contention\n",
-          hw_threads);
+                                               kContentionThreads,
+                                               contention_iters,
+                                               kContentionRounds);
+    int64_t shard_hits = 0;
+    for (int i = 0; i < sharded_cache.shard_count(); ++i) {
+      const int64_t hits = sharded_cache.shard_stats(i).hits;
+      shard_hits += hits;
+      if (hits > 0) ++shards_hit;
     }
-  }
+    const int64_t lookups = int64_t{kContentionThreads} * contention_iters *
+                            kContentionRounds;
+    std::printf(
+        "shard spread: %d threads x %d hot lookups over %d of %d shards; "
+        "single-mutex %.1f ms, sharded %.1f ms (%.2fx, report only)\n",
+        kContentionThreads, contention_iters, shards_hit,
+        sharded_cache.shard_count(), single_ms, sharded_ms,
+        sharded_ms > 0 ? single_ms / sharded_ms : 0.0);
+    if (shards_hit < 2) {
+      return bench::GateFailure("hot keys hit %d shard(s); sharding did not "
+                                "spread them",
+                                shards_hit);
+    }
+    if (shard_hits != lookups) {
+      return bench::GateFailure("per-shard hits sum to %lld of %lld lookups",
+                                static_cast<long long>(shard_hits),
+                                static_cast<long long>(lookups));
+    }
+    return Status::OK();
+  });
 
   // ---- Phase 6: warm-restart gate -------------------------------------
   const std::string cache_file =
       "/tmp/bench_serve_cache_" + std::to_string(getpid()) + ".ckpt";
   constexpr int kWarmRequests = 6;
   double recovered_entries = 0.0;
-  bool warm_byte_identical = true;
-  {
+  bool warm_byte_identical = false;
+  gates.Run("warm restart", [&]() -> Status {
     const std::vector<std::string> cache_args = {
         "--cache-shards=8", "--cache-file=" + cache_file};
     // First life: serve distinct model-only predicts, then drain — the
@@ -694,107 +743,81 @@ int main(int argc, char** argv) {
                               R"(","nodes":)" + std::to_string(2 + i) +
                               R"(,"input_gb":0.25,"model_only":true})");
     }
-    ChildServer warm_child;
-    if (!SpawnPredictd(predictd_path, threads, &warm_child, cache_args)) {
-      return 1;
-    }
     std::vector<std::string> first_responses;
     {
-      PredictClient client;
-      if (!client.Connect("127.0.0.1", warm_child.port).ok()) {
-        KillChild(&warm_child);
-        return 1;
+      ChildServer warm_child;
+      if (!SpawnPredictd(predictd_path, threads, &warm_child, cache_args)) {
+        return bench::GateFailure("first predictd did not start");
       }
+      PredictClient client;
+      MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", warm_child.port));
       for (const std::string& line : warm_requests) {
         Result<std::string> response = client.Call(line);
         if (!response.ok() ||
             response->find("\"ok\": true") == std::string::npos) {
-          std::fprintf(stderr, "warm-restart: first-life request failed\n");
-          KillChild(&warm_child);
-          return 1;
+          return bench::GateFailure("first-life request failed");
         }
         first_responses.push_back(*response);
       }
-    }
-    if (!StopChildGracefully(&warm_child)) {
-      std::fprintf(stderr, "warm-restart: first predictd did not exit 0\n");
-      return 1;
+      if (!StopChildGracefully(&warm_child)) {
+        return bench::GateFailure("first predictd did not exit 0");
+      }
     }
     std::FILE* ckpt = std::fopen(cache_file.c_str(), "rb");
     if (ckpt == nullptr) {
-      std::fprintf(stderr, "warm-restart gate FAILED: no checkpoint at %s\n",
-                   cache_file.c_str());
-      return 1;
+      return bench::GateFailure("no checkpoint at %s", cache_file.c_str());
     }
     std::fclose(ckpt);
 
     // Second life: recover the checkpoint, then replay every request.
+    // Answers are not persisted, so each replay is evaluated again and
+    // its solves are served by the recovered entries.
+    ChildServer warm_child;
     if (!SpawnPredictd(predictd_path, threads, &warm_child, cache_args)) {
-      std::remove(cache_file.c_str());
-      return 1;
+      return bench::GateFailure("second predictd did not start");
     }
     PredictClient client;
-    if (!client.Connect("127.0.0.1", warm_child.port).ok()) {
-      KillChild(&warm_child);
-      std::remove(cache_file.c_str());
-      return 1;
-    }
-    Result<std::string> warm_stats = client.Call(R"({"kind":"stats"})");
+    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", warm_child.port));
+    MRPERF_ASSIGN_OR_RETURN(const std::string warm_stats,
+                            client.Call(R"({"kind":"stats"})"));
     const double recoveries =
-        warm_stats.ok() ? CacheField(*warm_stats, "recoveries") : -1.0;
+        StatsObjectField(warm_stats, "cache", "recoveries");
     recovered_entries =
-        warm_stats.ok() ? CacheField(*warm_stats, "recovered_entries") : -1.0;
+        StatsObjectField(warm_stats, "cache", "recovered_entries");
     if (recoveries != 1.0 || !(recovered_entries > 0.0)) {
-      std::fprintf(stderr,
-                   "warm-restart gate FAILED: recoveries %.0f, "
-                   "recovered_entries %.0f\n",
-                   recoveries, recovered_entries);
-      KillChild(&warm_child);
-      std::remove(cache_file.c_str());
-      return 1;
+      return bench::GateFailure("recoveries %.0f, recovered_entries %.0f",
+                                recoveries, recovered_entries);
     }
-    for (int i = 0; i < kWarmRequests; ++i) {
-      Result<std::string> response = client.Call(warm_requests[
-          static_cast<size_t>(i)]);
-      if (!response.ok() ||
-          *response != first_responses[static_cast<size_t>(i)]) {
-        std::fprintf(stderr,
-                     "warm-restart gate FAILED: replay %d not "
-                     "byte-identical\n  got:  %s\n  want: %s\n",
-                     i,
-                     response.ok() ? response->c_str()
-                                   : response.status().ToString().c_str(),
-                     first_responses[static_cast<size_t>(i)].c_str());
-        KillChild(&warm_child);
-        std::remove(cache_file.c_str());
-        return 1;
+    for (size_t i = 0; i < warm_requests.size(); ++i) {
+      Result<std::string> response = client.Call(warm_requests[i]);
+      if (!response.ok() || *response != first_responses[i]) {
+        return bench::GateFailure(
+            "replay %zu not byte-identical\n  got:  %s\n  want: %s", i,
+            response.ok() ? response->c_str()
+                          : response.status().ToString().c_str(),
+            first_responses[i].c_str());
       }
     }
+    warm_byte_identical = true;
     // The replay must have been served from the recovered entries: the
     // fresh process starts at zero hits, and Recover() only inserts.
-    Result<std::string> replay_stats = client.Call(R"({"kind":"stats"})");
-    const double warm_hits =
-        replay_stats.ok() ? CacheField(*replay_stats, "hits") : -1.0;
+    MRPERF_ASSIGN_OR_RETURN(const std::string replay_stats,
+                            client.Call(R"({"kind":"stats"})"));
+    const double warm_hits = StatsObjectField(replay_stats, "cache", "hits");
     if (!(warm_hits > 0.0)) {
-      std::fprintf(stderr,
-                   "warm-restart gate FAILED: no cache hits after replay "
-                   "(%.0f)\n",
-                   warm_hits);
-      KillChild(&warm_child);
-      std::remove(cache_file.c_str());
-      return 1;
+      return bench::GateFailure("no solve-cache hits after replay (%.0f)",
+                                warm_hits);
     }
     if (!StopChildGracefully(&warm_child)) {
-      std::fprintf(stderr, "warm-restart: second predictd did not exit 0\n");
-      std::remove(cache_file.c_str());
-      return 1;
+      return bench::GateFailure("second predictd did not exit 0");
     }
-    std::remove(cache_file.c_str());
     std::printf(
         "warm restart: %.0f entries recovered, %d replayed responses "
         "byte-identical, %.0f warm hits\n",
         recovered_entries, kWarmRequests, warm_hits);
-  }
+    return Status::OK();
+  });
+  std::remove(cache_file.c_str());  // the second life checkpoints too
 
   // ---- Phases 7-9: C10k transport, QoS, metrics (fresh child) ---------
   constexpr int kIdleConnections = 1000;
@@ -808,32 +831,30 @@ int main(int argc, char** argv) {
   double bulk_p99 = 0.0;
   double interactive_p99 = 0.0;
   int deadline_hits = 0;
-  {
-    ChildServer qos_child;
-    // One worker + a deliberately small batch: queue wait dominates, so
-    // priority ordering and deadline expiry are visible in latency.
-    if (!SpawnPredictd(predictd_path, /*threads=*/1, &qos_child,
-                       {"--batch=2"})) {
-      return 1;
-    }
-    PredictClient qos_stats;
-    if (!qos_stats.Connect("127.0.0.1", qos_child.port).ok()) {
-      KillChild(&qos_child);
-      return 1;
-    }
+  bool metrics_valid = false;
 
-    // ---- Phase 7: >= 1k idle + 64 active pipelined clients ------------
-    std::vector<IdleConn> idle(kIdleConnections);
+  ChildServer qos_child;
+  // One worker + a deliberately small batch: queue wait dominates, so
+  // priority ordering and deadline expiry are visible in latency.
+  SpawnPredictd(predictd_path, /*threads=*/1, &qos_child, {"--batch=2"});
+  PredictClient qos_stats;
+  if (qos_child.pid > 0) qos_stats.Connect("127.0.0.1", qos_child.port);
+  const auto call_qos_stats = [&qos_stats]() -> Result<std::string> {
+    return qos_stats.Call(R"({"kind":"stats"})");
+  };
+
+  // ---- Phase 7: >= 1k idle + 64 active pipelined clients --------------
+  std::vector<IdleConn> idle(kIdleConnections);
+  gates.Run("c10k", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(qos_child));
     int idle_up = 0;
     for (int i = 0; i < kIdleConnections; ++i) {
       if (!idle[static_cast<size_t>(i)].Connect(qos_child.port)) break;
       ++idle_up;
     }
     if (idle_up != kIdleConnections) {
-      std::fprintf(stderr, "c10k gate FAILED: only %d/%d idle connections\n",
-                   idle_up, kIdleConnections);
-      KillChild(&qos_child);
-      return 1;
+      return bench::GateFailure("only %d/%d idle connections", idle_up,
+                                kIdleConnections);
     }
     std::vector<int> active_ok(kActiveClients, 0);
     {
@@ -873,26 +894,17 @@ int main(int argc, char** argv) {
     }
     for (int c = 0; c < kActiveClients; ++c) {
       if (active_ok[static_cast<size_t>(c)] != active_requests) {
-        std::fprintf(stderr,
-                     "c10k gate FAILED: client %d got %d/%d ordered "
-                     "responses\n",
-                     c, active_ok[static_cast<size_t>(c)], active_requests);
-        KillChild(&qos_child);
-        return 1;
+        return bench::GateFailure("client %d got %d/%d ordered responses", c,
+                                  active_ok[static_cast<size_t>(c)],
+                                  active_requests);
       }
     }
     c10k_rps = c10k_wall > 0
                    ? static_cast<double>(c10k_total) / c10k_wall
                    : 0.0;
-    Result<std::string> c10k_stats =
-        qos_stats.Call(R"({"kind":"stats"})");
-    if (!c10k_stats.ok()) {
-      KillChild(&qos_child);
-      return 1;
-    }
-    const double live_connections = StatsField(*c10k_stats, "connections");
-    const double loop_threads =
-        StatsField(*c10k_stats, "event_loop_threads");
+    MRPERF_ASSIGN_OR_RETURN(const std::string c10k_stats, call_qos_stats());
+    const double live_connections = StatsField(c10k_stats, "connections");
+    const double loop_threads = StatsField(c10k_stats, "event_loop_threads");
     std::printf(
         "c10k: %d idle + %d active clients, %zu pipelined requests in "
         "%.2fs -> %.0f req/s on %.0f event-loop threads (%.0f live "
@@ -900,51 +912,48 @@ int main(int argc, char** argv) {
         kIdleConnections, kActiveClients, c10k_total, c10k_wall, c10k_rps,
         loop_threads, live_connections);
     if (live_connections < kIdleConnections || loop_threads != 2.0) {
-      std::fprintf(stderr,
-                   "c10k gate FAILED: %.0f connections on %.0f loop "
-                   "threads (want >= %d on a fixed budget of 2)\n",
-                   live_connections, loop_threads, kIdleConnections);
-      KillChild(&qos_child);
-      return 1;
+      return bench::GateFailure(
+          "%.0f connections on %.0f loop threads (want >= %d on a fixed "
+          "budget of 2)",
+          live_connections, loop_threads, kIdleConnections);
     }
+    return Status::OK();
+  });
 
-    // ---- Phase 8a: interactive p99 beats bulk p99 under saturation ----
+  // ---- Phase 8a: interactive p99 beats bulk p99 under saturation ------
+  gates.Run("qos priority", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(qos_child));
     constexpr int kBulkClients = 4;
     constexpr int kBulkPerClient = 12;
     constexpr int kInteractive = 8;
-    {
-      std::vector<std::thread> bulk_clients;
-      std::vector<int> bulk_ok(kBulkClients, 0);
-      for (int c = 0; c < kBulkClients; ++c) {
-        bulk_clients.emplace_back([&, c] {
-          PredictClient client;
-          if (!client.Connect("127.0.0.1", qos_child.port).ok()) return;
-          for (int i = 0; i < kBulkPerClient; ++i) {
-            // Distinct seeds: no coalescing, every request a real
-            // evaluation competing for the single worker.
-            client.SendLine(
-                R"({"id":"qb)" + std::to_string(c) + "-" +
-                std::to_string(i) +
-                R"(","nodes":3,"input_gb":0.5,"jobs":2,"repetitions":2,)"
-                R"("seed":)" + std::to_string(1000 + c * 100 + i) + "}");
+    std::vector<std::thread> bulk_clients;
+    std::vector<int> bulk_ok(kBulkClients, 0);
+    for (int c = 0; c < kBulkClients; ++c) {
+      bulk_clients.emplace_back([&, c] {
+        PredictClient client;
+        if (!client.Connect("127.0.0.1", qos_child.port).ok()) return;
+        for (int i = 0; i < kBulkPerClient; ++i) {
+          // Distinct seeds: no coalescing or cached answers, every
+          // request a real evaluation competing for the single worker.
+          client.SendLine(
+              R"({"id":"qb)" + std::to_string(c) + "-" + std::to_string(i) +
+              R"(","nodes":3,"input_gb":0.5,"jobs":2,"repetitions":2,)"
+              R"("seed":)" + std::to_string(1000 + c * 100 + i) + "}");
+        }
+        for (int i = 0; i < kBulkPerClient; ++i) {
+          Result<std::string> response = client.ReadLine();
+          if (!response.ok() ||
+              response->find("\"ok\": true") == std::string::npos) {
+            return;
           }
-          for (int i = 0; i < kBulkPerClient; ++i) {
-            Result<std::string> response = client.ReadLine();
-            if (!response.ok() ||
-                response->find("\"ok\": true") == std::string::npos) {
-              return;
-            }
-            ++bulk_ok[static_cast<size_t>(c)];
-          }
-        });
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(30));
-      PredictClient interactive_client;
-      if (!interactive_client.Connect("127.0.0.1", qos_child.port).ok()) {
-        KillChild(&qos_child);
-        return 1;
-      }
-      int interactive_ok = 0;
+          ++bulk_ok[static_cast<size_t>(c)];
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    int interactive_ok = 0;
+    PredictClient interactive_client;
+    if (interactive_client.Connect("127.0.0.1", qos_child.port).ok()) {
       for (int i = 0; i < kInteractive; ++i) {
         Result<std::string> response = interactive_client.Call(
             R"({"id":"qi)" + std::to_string(i) +
@@ -956,173 +965,143 @@ int main(int argc, char** argv) {
           ++interactive_ok;
         }
       }
-      for (std::thread& t : bulk_clients) t.join();
-      int bulk_answered = 0;
-      for (int ok_count : bulk_ok) bulk_answered += ok_count;
-      if (bulk_answered != kBulkClients * kBulkPerClient ||
-          interactive_ok != kInteractive) {
-        std::fprintf(stderr, "qos gate FAILED: %d/%d bulk, %d/%d "
-                             "interactive responses\n",
-                     bulk_answered, kBulkClients * kBulkPerClient,
-                     interactive_ok, kInteractive);
-        KillChild(&qos_child);
-        return 1;
-      }
     }
-    Result<std::string> qos_snapshot =
-        qos_stats.Call(R"({"kind":"stats"})");
-    if (!qos_snapshot.ok()) {
-      KillChild(&qos_child);
-      return 1;
+    for (std::thread& t : bulk_clients) t.join();
+    int bulk_answered = 0;
+    for (int ok_count : bulk_ok) bulk_answered += ok_count;
+    if (bulk_answered != kBulkClients * kBulkPerClient ||
+        interactive_ok != kInteractive) {
+      return bench::GateFailure("%d/%d bulk, %d/%d interactive responses",
+                                bulk_answered, kBulkClients * kBulkPerClient,
+                                interactive_ok, kInteractive);
     }
-    bulk_p99 = PriorityLatencyField(*qos_snapshot, "bulk", "p99");
-    interactive_p99 =
-        PriorityLatencyField(*qos_snapshot, "interactive", "p99");
+    MRPERF_ASSIGN_OR_RETURN(const std::string snapshot, call_qos_stats());
+    bulk_p99 = PriorityLatencyField(snapshot, "bulk", "p99");
+    interactive_p99 = PriorityLatencyField(snapshot, "interactive", "p99");
     std::printf(
         "qos: saturated single worker -> bulk p99 %.1f ms, interactive "
         "p99 %.1f ms\n",
         bulk_p99, interactive_p99);
     if (!(interactive_p99 > 0.0) || !(bulk_p99 > 0.0) ||
         !(interactive_p99 < bulk_p99)) {
-      std::fprintf(stderr,
-                   "qos gate FAILED: interactive p99 %.1f ms not below "
-                   "bulk p99 %.1f ms\n",
-                   interactive_p99, bulk_p99);
-      KillChild(&qos_child);
-      return 1;
+      return bench::GateFailure(
+          "interactive p99 %.1f ms not below bulk p99 %.1f ms",
+          interactive_p99, bulk_p99);
     }
+    return Status::OK();
+  });
 
-    // ---- Phase 8b: tiny deadlines behind a parked backlog -------------
-    {
-      const double admitted_before =
-          StatsField(*qos_stats.Call(R"({"kind":"stats"})"),
-                     "requests_total");
-      constexpr int kBacklog = 16;
-      PredictClient backlog;
-      if (!backlog.Connect("127.0.0.1", qos_child.port).ok()) {
-        KillChild(&qos_child);
-        return 1;
+  // ---- Phase 8b: tiny deadlines behind a parked backlog ---------------
+  gates.Run("deadline", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(qos_child));
+    MRPERF_ASSIGN_OR_RETURN(const std::string before, call_qos_stats());
+    const double admitted_before = StatsField(before, "requests_total");
+    constexpr int kBacklog = 16;
+    PredictClient backlog;
+    MRPERF_RETURN_NOT_OK(backlog.Connect("127.0.0.1", qos_child.port));
+    for (int i = 0; i < kBacklog; ++i) {
+      backlog.SendLine(
+          R"({"id":"bk)" + std::to_string(i) +
+          R"(","nodes":3,"input_gb":0.5,"jobs":2,"repetitions":2,)"
+          R"("seed":)" + std::to_string(5000 + i) + "}");
+    }
+    // Wait until the backlog is admitted so the deadline requests are
+    // deterministically queued behind real work.
+    for (int spin = 0;; ++spin) {
+      MRPERF_ASSIGN_OR_RETURN(const std::string now, call_qos_stats());
+      if (StatsField(now, "requests_total") - admitted_before >= kBacklog) {
+        break;
       }
-      for (int i = 0; i < kBacklog; ++i) {
-        backlog.SendLine(
-            R"({"id":"bk)" + std::to_string(i) +
-            R"(","nodes":3,"input_gb":0.5,"jobs":2,"repetitions":2,)"
-            R"("seed":)" + std::to_string(5000 + i) + "}");
+      if (spin > 2000) return bench::GateFailure("backlog never admitted");
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    PredictClient deadline_client;
+    MRPERF_RETURN_NOT_OK(
+        deadline_client.Connect("127.0.0.1", qos_child.port));
+    for (int i = 0; i < kDeadlineRequests; ++i) {
+      // Keys no earlier phase answered (their own seeds): a cached
+      // answer is served without queueing and could never expire.
+      deadline_client.SendLine(R"({"id":"dl)" + std::to_string(i) +
+                               R"(","nodes":)" + std::to_string(2 + i) +
+                               R"(,"input_gb":0.25,"model_only":true,)"
+                               R"("seed":)" + std::to_string(6000 + i) +
+                               R"(,"deadline_ms":1})");
+    }
+    for (int i = 0; i < kDeadlineRequests; ++i) {
+      Result<std::string> response = deadline_client.ReadLine();
+      if (!response.ok()) {
+        return bench::GateFailure("response %d dropped (%s)", i,
+                                  response.status().ToString().c_str());
       }
-      // Wait until the backlog is admitted so the deadline requests are
-      // deterministically queued behind real work.
-      for (int spin = 0;; ++spin) {
-        const double admitted = StatsField(
-            *qos_stats.Call(R"({"kind":"stats"})"), "requests_total");
-        if (admitted - admitted_before >= kBacklog) break;
-        if (spin > 2000) {
-          std::fprintf(stderr, "deadline gate: backlog never admitted\n");
-          KillChild(&qos_child);
-          return 1;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      PredictClient deadline_client;
-      if (!deadline_client.Connect("127.0.0.1", qos_child.port).ok()) {
-        KillChild(&qos_child);
-        return 1;
-      }
-      for (int i = 0; i < kDeadlineRequests; ++i) {
-        deadline_client.SendLine(R"({"id":"dl)" + std::to_string(i) +
-                                 R"(","nodes":)" + std::to_string(2 + i) +
-                                 R"(,"input_gb":0.25,"model_only":true,)"
-                                 R"("deadline_ms":1})");
-      }
-      for (int i = 0; i < kDeadlineRequests; ++i) {
-        Result<std::string> response = deadline_client.ReadLine();
-        if (!response.ok()) {
-          std::fprintf(stderr,
-                       "deadline gate FAILED: response %d dropped (%s)\n",
-                       i, response.status().ToString().c_str());
-          KillChild(&qos_child);
-          return 1;
-        }
-        if (response->find("deadline_exceeded") != std::string::npos) {
-          ++deadline_hits;
-        } else if (response->find("\"ok\": true") == std::string::npos) {
-          std::fprintf(stderr,
-                       "deadline gate FAILED: response %d neither served "
-                       "nor expired: %s\n",
-                       i, response->c_str());
-          KillChild(&qos_child);
-          return 1;
-        }
-      }
-      for (int i = 0; i < kBacklog; ++i) {
-        Result<std::string> response = backlog.ReadLine();
-        if (!response.ok() ||
-            response->find("\"ok\": true") == std::string::npos) {
-          std::fprintf(stderr, "deadline gate: backlog response %d lost\n",
-                       i);
-          KillChild(&qos_child);
-          return 1;
-        }
-      }
-      const double expired_total = StatsField(
-          *qos_stats.Call(R"({"kind":"stats"})"), "deadline_exceeded_total");
-      std::printf(
-          "deadline: %d/%d answered with deadline_exceeded behind a "
-          "%d-deep backlog (stats counter %.0f)\n",
-          deadline_hits, kDeadlineRequests, kBacklog, expired_total);
-      if (deadline_hits < 1 ||
-          expired_total != static_cast<double>(deadline_hits)) {
-        std::fprintf(stderr,
-                     "deadline gate FAILED: %d expirations observed but "
-                     "stats report %.0f\n",
-                     deadline_hits, expired_total);
-        KillChild(&qos_child);
-        return 1;
+      if (response->find("deadline_exceeded") != std::string::npos) {
+        ++deadline_hits;
+      } else if (response->find("\"ok\": true") == std::string::npos) {
+        return bench::GateFailure("response %d neither served nor "
+                                  "expired: %s",
+                                  i, response->c_str());
       }
     }
-
-    // ---- Phase 9: /metrics parses as Prometheus text exposition -------
-    {
-      std::string status_line;
-      std::string body;
-      if (!HttpGet(qos_child.port, "/metrics", &status_line, &body) ||
-          status_line.find("200") == std::string::npos) {
-        std::fprintf(stderr, "metrics gate FAILED: GET /metrics -> '%s'\n",
-                     status_line.c_str());
-        KillChild(&qos_child);
-        return 1;
+    for (int i = 0; i < kBacklog; ++i) {
+      Result<std::string> response = backlog.ReadLine();
+      if (!response.ok() ||
+          response->find("\"ok\": true") == std::string::npos) {
+        return bench::GateFailure("backlog response %d lost", i);
       }
-      const Status valid = ValidatePrometheusText(body);
-      if (!valid.ok()) {
-        std::fprintf(stderr, "metrics gate FAILED: %s\n%s",
-                     valid.ToString().c_str(), body.c_str());
-        KillChild(&qos_child);
-        return 1;
-      }
-      for (const char* needle :
-           {"# TYPE predictd_request_latency_milliseconds histogram",
-            "priority=\"interactive\"", "predictd_deadline_exceeded_total",
-            "predictd_connections"}) {
-        if (body.find(needle) == std::string::npos) {
-          std::fprintf(stderr, "metrics gate FAILED: missing '%s'\n",
-                       needle);
-          KillChild(&qos_child);
-          return 1;
-        }
-      }
-      std::printf("metrics: %zu bytes of valid Prometheus exposition\n",
-                  body.size());
     }
+    MRPERF_ASSIGN_OR_RETURN(const std::string after, call_qos_stats());
+    const double expired_total = StatsField(after, "deadline_exceeded_total");
+    std::printf(
+        "deadline: %d/%d answered with deadline_exceeded behind a "
+        "%d-deep backlog (stats counter %.0f)\n",
+        deadline_hits, kDeadlineRequests, kBacklog, expired_total);
+    if (deadline_hits < 1 ||
+        expired_total != static_cast<double>(deadline_hits)) {
+      return bench::GateFailure("%d expirations observed but stats report "
+                                "%.0f",
+                                deadline_hits, expired_total);
+    }
+    return Status::OK();
+  });
 
-    // SIGTERM with the thousand idle connections still parked: the drain
-    // must still terminate promptly and exit 0.
+  // ---- Phase 9: /metrics parses as Prometheus text exposition ---------
+  gates.Run("metrics", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(qos_child));
+    std::string status_line;
+    std::string body;
+    if (!HttpGet(qos_child.port, "/metrics", &status_line, &body) ||
+        status_line.find("200") == std::string::npos) {
+      return bench::GateFailure("GET /metrics -> '%s'", status_line.c_str());
+    }
+    const Status valid = ValidatePrometheusText(body);
+    if (!valid.ok()) {
+      return bench::GateFailure("%s\n%s", valid.ToString().c_str(),
+                                body.c_str());
+    }
+    for (const char* needle :
+         {"# TYPE predictd_request_latency_milliseconds histogram",
+          "priority=\"interactive\"", "predictd_deadline_exceeded_total",
+          "predictd_connections", "predictd_response_cache_lookups_total"}) {
+      if (body.find(needle) == std::string::npos) {
+        return bench::GateFailure("missing '%s'", needle);
+      }
+    }
+    metrics_valid = true;
+    std::printf("metrics: %zu bytes of valid Prometheus exposition\n",
+                body.size());
+    return Status::OK();
+  });
+
+  // SIGTERM with the thousand idle connections still parked: the drain
+  // must still terminate promptly and exit 0.
+  gates.Run("c10k drain", [&]() -> Status {
+    MRPERF_RETURN_NOT_OK(Running(qos_child));
     if (!StopChildGracefully(&qos_child)) {
-      std::fprintf(stderr,
-                   "c10k drain gate FAILED: predictd did not exit 0 with "
-                   "%d connections parked\n",
-                   kIdleConnections);
-      return 1;
+      return bench::GateFailure("predictd did not exit 0 with %d "
+                                "connections parked",
+                                kIdleConnections);
     }
-  }
+    return Status::OK();
+  });
 
   // ---- Persist the perf trajectory ------------------------------------
   if (!json_out.empty()) {
@@ -1144,6 +1123,10 @@ int main(int argc, char** argv) {
     AppendJsonDouble(out, burst_evals);
     out += ", \"cache_hit_rate\": ";
     AppendJsonDouble(out, cache_hit_rate);
+    out += ", \"repeat_evaluations\": ";
+    AppendJsonDouble(out, repeat_evals);
+    out += ", \"repeat_response_cache_hits\": ";
+    AppendJsonDouble(out, repeat_hits);
     out += "}, \"contention\": {\"threads\": " +
            std::to_string(kContentionThreads) + ", \"single_ms\": ";
     AppendJsonDouble(out, single_ms);
@@ -1151,6 +1134,7 @@ int main(int argc, char** argv) {
     AppendJsonDouble(out, sharded_ms);
     out += ", \"speedup\": ";
     AppendJsonDouble(out, sharded_ms > 0 ? single_ms / sharded_ms : 0.0);
+    out += ", \"shards_hit\": " + std::to_string(shards_hit);
     out += "}, \"warm_restart\": {\"recovered_entries\": ";
     AppendJsonDouble(out, recovered_entries);
     out += ", \"byte_identical\": ";
@@ -1169,7 +1153,9 @@ int main(int argc, char** argv) {
     AppendJsonDouble(out, interactive_p99);
     out += ", \"deadline_requests\": " + std::to_string(kDeadlineRequests) +
            ", \"deadline_exceeded\": " + std::to_string(deadline_hits) +
-           ", \"metrics_valid\": true}}\n";
+           ", \"metrics_valid\": ";
+    out += metrics_valid ? "true" : "false";
+    out += "}}\n";
     std::FILE* f = std::fopen(json_out.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
@@ -1179,6 +1165,5 @@ int main(int argc, char** argv) {
     std::fclose(f);
     std::printf("wrote %s\n", json_out.c_str());
   }
-  std::printf("bench_serve_load: all gates passed\n");
-  return 0;
+  return gates.PrintSummary("bench_serve_load") ? 0 : 1;
 }

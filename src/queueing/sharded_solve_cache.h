@@ -60,6 +60,12 @@ class ShardedSolveCache : public SolveCache {
   }
   int64_t max_entries() const override { return max_entries_; }
 
+  /// Counters of shard `index` alone (0 <= index < shard_count());
+  /// stats() is their sum. Shows how keys spread over the shards.
+  MvaCacheStats shard_stats(int index) const {
+    return shards_.at(static_cast<size_t>(index))->stats();
+  }
+
   /// Enumerates shard 0's entries LRU-first, then shard 1's, ... —
   /// within each shard the order the checkpoint codec expects.
   void ForEachEntry(

@@ -76,8 +76,8 @@ void AppendLatencyHistogram(std::string& out, const char* family,
                             const ServeStatsSnapshot& s) {
   AppendFamilyHeader(
       out, family,
-      "Admission-to-response latency of evaluated predict requests, by "
-      "dispatch priority.",
+      "Admission-to-response latency of answered predict requests "
+      "(evaluated, coalesced or cached), by dispatch priority.",
       "histogram");
   for (int p = 0; p < kRequestPriorityCount; ++p) {
     const LatencyStatsSnapshot& l = s.latency_by_priority[p];
@@ -153,7 +153,7 @@ std::string FormatPrometheusMetrics(const ServeStatsSnapshot& s) {
 
   AppendCounterFamily(
       out, "predictd_requests_total",
-      "Admitted predict requests, including coalesced ones.",
+      "Admitted predict requests, including coalesced and cached ones.",
       s.requests_total);
   AppendCounterFamily(out, "predictd_evaluations_total",
                       "Point evaluations dispatched to the sweep engine.",
@@ -200,6 +200,21 @@ std::string FormatPrometheusMetrics(const ServeStatsSnapshot& s) {
   AppendCounterFamily(out, "predictd_metrics_requests_total",
                       "GET /metrics scrapes served.",
                       s.metrics_requests_total);
+
+  AppendFamilyHeader(out, "predictd_response_cache_lookups_total",
+                     "Predict requests by response-cache result (a hit is "
+                     "answered without evaluating).",
+                     "counter");
+  AppendIntSample(out, "predictd_response_cache_lookups_total",
+                  "{result=\"hit\"}", s.response_cache.hits);
+  AppendIntSample(out, "predictd_response_cache_lookups_total",
+                  "{result=\"miss\"}", s.response_cache.misses);
+  AppendGaugeFamily(out, "predictd_response_cache_entries",
+                    "Resident response-cache answers.",
+                    s.response_cache.size);
+  AppendCounterFamily(out, "predictd_response_cache_evictions_total",
+                      "Response-cache evictions.",
+                      s.response_cache.evictions);
 
   AppendFamilyHeader(out, "predictd_cache_lookups_total",
                      "Shared solve-cache lookups, by result.", "counter");

@@ -45,8 +45,30 @@ MvaCacheStats SumCacheStats(const MvaCacheStats& folded,
 
 }  // namespace
 
+std::optional<ExperimentResult> PredictService::AnswerCache::Lookup(
+    const std::string& key) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->second;
+}
+
+void PredictService::AnswerCache::Insert(std::string key,
+                                         ExperimentResult result) {
+  if (entries_.count(key) != 0) return;
+  if (static_cast<int64_t>(entries_.size()) >= max_entries_) {
+    entries_.erase(std::string_view(lru_.back().first));
+    lru_.pop_back();
+    ++evictions_;
+  }
+  lru_.emplace_front(std::move(key), std::move(result));
+  entries_.emplace(std::string_view(lru_.front().first), lru_.begin());
+}
+
 PredictService::PredictService(PredictServiceOptions options)
-    : options_(std::move(options)), runner_(SweepOptionsFor(options_)) {
+    : options_(std::move(options)),
+      runner_(SweepOptionsFor(options_)),
+      answers_(options_.cache_max_entries) {
   if (!options_.cache_file.empty()) {
     const Status recovered = runner_.cache().Recover(options_.cache_file);
     if (recovered.ok()) {
@@ -196,19 +218,23 @@ void PredictService::SubmitLine(const std::string& request_line,
         std::chrono::milliseconds(request.predict.deadline_ms);
   }
 
+  std::string key = CanonicalPredictKey(request.predict);
   std::string rejection;
   bool rejected_shutdown = false;
   bool rejected_overload = false;
   bool coalesced = false;
+  std::optional<ExperimentResult> answer;
   {
     MutexLock lock(mu_);
+    if (!draining_) answer = answers_.Lookup(key);
     if (draining_) {
       rejection = MakeErrorResponse(
           request.id, ServeErrorCode::kShuttingDown,
           "server is draining; request was not admitted");
       rejected_shutdown = true;
+    } else if (answer) {
+      // Answered before: serialized below, outside the lock.
     } else {
-      std::string key = CanonicalPredictKey(request.predict);
       auto it = pending_.find(key);
       if (it != pending_.end()) {
         // Coalesce: share the queued/in-flight evaluation of this key.
@@ -264,6 +290,21 @@ void PredictService::SubmitLine(const std::string& request_line,
       if (rejected_overload) ++rejected_overload_total_;
     }
     Respond(waiter.done, std::move(rejection));
+    return;
+  }
+
+  if (answer) {
+    {
+      MutexLock lock(stats_mu_);
+      ++requests_total_;
+      ++answered_from_cache_total_;
+    }
+    // The stored result goes through the response path an evaluation
+    // takes, so a hit's bytes differ from an evaluation's only in id.
+    const Result<ExperimentResult> result(std::move(*answer));
+    std::vector<Waiter> waiters;
+    waiters.push_back(std::move(waiter));
+    FulfillWaiters(std::move(waiters), &result, /*pool_down=*/false);
     return;
   }
 
@@ -356,9 +397,15 @@ void PredictService::DispatcherLoop() {
     for (size_t i = 0; i < batch.size(); ++i) {
       std::vector<Waiter> waiters;
       {
+        // One critical section takes the waiters and moves the key from
+        // pending_ to answers_, so a racing duplicate either coalesced
+        // above or hits the answer: it is never evaluated twice.
         MutexLock lock(mu_);
         waiters = std::move(batch[i]->waiters);
         pending_.erase(batch[i]->key);
+        if (!pool_down && report.results[i].ok()) {
+          answers_.Insert(std::move(batch[i]->key), *report.results[i]);
+        }
       }
       FulfillWaiters(std::move(waiters),
                      pool_down ? nullptr : &report.results[i], pool_down);
@@ -407,7 +454,7 @@ void PredictService::FulfillWaiters(std::vector<Waiter> waiters,
       if (pool_down) {
         ++rejected_shutdown_total_;
       } else {
-        // Latency covers evaluated requests only, split per dispatch
+        // Latency covers answered requests only, split per dispatch
         // class; rejections would drag the percentiles toward zero.
         latency_by_priority_[static_cast<int>(waiter.priority)].Add(
             latency_ms);
@@ -458,6 +505,8 @@ ServeStatsSnapshot PredictService::Stats(bool reset_window) {
     }
     snapshot.queue_depth = queued;
     snapshot.draining = draining_;
+    snapshot.response_cache.size = answers_.size();
+    snapshot.response_cache.evictions = answers_.evictions();
   }
   snapshot.threads = runner_.thread_count();
   snapshot.cache_shards = runner_.cache().shard_count();
@@ -470,6 +519,9 @@ ServeStatsSnapshot PredictService::Stats(bool reset_window) {
     snapshot.requests_total = requests_total_;
     snapshot.evaluations_total = evaluations_total_;
     snapshot.coalesced_total = coalesced_total_;
+    snapshot.response_cache.hits = answered_from_cache_total_;
+    snapshot.response_cache.misses =
+        requests_total_ - answered_from_cache_total_;
     snapshot.rejected_overload_total = rejected_overload_total_;
     snapshot.rejected_shutdown_total = rejected_shutdown_total_;
     snapshot.rejected_quota_total = rejected_quota_total_;

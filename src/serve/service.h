@@ -30,16 +30,26 @@
 ///    still receives its own response (its own id, its own latency).
 ///    The key excludes priority, so an interactive duplicate coalesces
 ///    onto a queued bulk evaluation and upgrades its dispatch class.
+///  - **Response cache.** A predict whose CanonicalPredictKey already
+///    has a successful evaluation is answered from SubmitLine with
+///    MakePredictResponse(its own id, the stored ExperimentResult) —
+///    byte-identical to evaluating, by the argument coalescing relies
+///    on — without queueing or touching the worker pool. A key moves
+///    from the coalescing map to the cache inside the critical section
+///    that takes its waiters, so a duplicate racing the completion
+///    either coalesces or hits: it is never evaluated twice. Only ok
+///    results are stored, LRU-bounded by `cache_max_entries`.
 ///  - **Shared solver state.** One process-wide SolveCache (inside the
 ///    runner, sharded by default — serving fan-in would contend on a
-///    single lock) serves every connection, so steady traffic over
-///    popular scenarios is cache-hit dominated; per-worker kernel
-///    scratch is reused across requests as in batch sweeps.
+///    single lock) memoizes the A4 overlap-MVA solves of the requests
+///    the response cache cannot answer; per-worker kernel scratch is
+///    reused across requests as in batch sweeps.
 ///  - **Warm restarts.** With `cache_file` configured, Drain()
-///    checkpoints the resident cache entries to disk and the next boot
-///    recovers them, so a restarted server answers its first requests
-///    from cache instead of re-solving its steady-state working set. A
-///    missing/corrupt file is logged and served cold — never fatal.
+///    checkpoints the resident solve-cache entries to disk and the next
+///    boot recovers them, so a restarted server re-solves less of its
+///    steady-state working set. Answers are not persisted: the response
+///    cache starts empty on every boot. A missing/corrupt file is
+///    logged and served cold — never fatal.
 ///
 /// Determinism: request seeds are carried by the request itself
 /// (TaskForRequest pins derive_seed off), so a response is
@@ -56,15 +66,18 @@
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -89,6 +102,8 @@ struct PredictServiceOptions {
   /// rate, capacity = max(1, quota_rps)); 0 disables quotas. Stats
   /// requests are always exempt.
   int64_t quota_rps = 0;
+  /// Resident-entry cap of the solve cache and, separately, of the
+  /// response cache (each LRU, minimum 1).
   int64_t cache_max_entries = 4096;
   /// Lock shards of the shared solve cache (MakeSolveCache; rounded up
   /// to a power of two, 1 = single mutex). The default covers typical
@@ -136,10 +151,11 @@ class PredictService {
   PredictService& operator=(const PredictService&) = delete;
 
   /// Parses and routes one request line; `done` receives the response.
-  /// Stats requests and all rejections resolve synchronously; predict
-  /// requests resolve when their (possibly shared) evaluation
-  /// completes. `peer` keys the per-client quota bucket (the
-  /// transport's peer address; empty = a shared anonymous bucket).
+  /// Stats requests, all rejections and response-cache hits resolve
+  /// synchronously; other predict requests resolve when their (possibly
+  /// shared) evaluation completes. `peer` keys the per-client quota
+  /// bucket (the transport's peer address; empty = a shared anonymous
+  /// bucket).
   void SubmitLine(const std::string& request_line, const std::string& peer,
                   ResponseCallback done);
 
@@ -223,6 +239,32 @@ class PredictService {
     Clock::time_point last_refill;
   };
 
+  /// The response cache: canonical key -> result of a successful
+  /// evaluation, LRU-bounded. Not synchronized; the service guards it
+  /// with mu_.
+  class AnswerCache {
+   public:
+    explicit AnswerCache(int64_t max_entries)
+        : max_entries_(std::max<int64_t>(1, max_entries)) {}
+    /// A copy of the stored result, now most recently used.
+    std::optional<ExperimentResult> Lookup(const std::string& key);
+    /// Stores `result` as most recently used, evicting the least
+    /// recently used answer when full.
+    void Insert(std::string key, ExperimentResult result);
+    int64_t size() const { return static_cast<int64_t>(entries_.size()); }
+    int64_t evictions() const { return evictions_; }
+
+   private:
+    using Lru = std::list<std::pair<std::string, ExperimentResult>>;
+    int64_t max_entries_;
+    int64_t evictions_ = 0;
+    /// Most recently used first; owns the keys.
+    Lru lru_;
+    /// Views the key stored in its lru_ node (list nodes never move),
+    /// so each key is held once; erased before its node.
+    std::unordered_map<std::string_view, Lru::iterator> entries_;
+  };
+
   void DispatcherLoop();
   /// Builds one waiter's response and records latency/response counters.
   void FulfillWaiters(std::vector<Waiter> waiters,
@@ -249,6 +291,9 @@ class PredictService {
       GUARDED_BY(mu_);
   /// Canonical key -> queued or in-flight evaluation (coalescing map).
   std::unordered_map<std::string, EvaluationPtr> pending_ GUARDED_BY(mu_);
+  /// Canonical key -> answered evaluation (response cache). A key is in
+  /// at most one of pending_ and answers_.
+  AnswerCache answers_ GUARDED_BY(mu_);
   /// Peer address -> token bucket (quota_rps > 0 only).
   std::unordered_map<std::string, TokenBucket> quota_ GUARDED_BY(mu_);
   bool draining_ GUARDED_BY(mu_) = false;
@@ -271,6 +316,9 @@ class PredictService {
   int64_t requests_total_ GUARDED_BY(stats_mu_) = 0;
   int64_t evaluations_total_ GUARDED_BY(stats_mu_) = 0;
   int64_t coalesced_total_ GUARDED_BY(stats_mu_) = 0;
+  /// Admitted predicts answered from answers_; the rest of
+  /// requests_total_ are response-cache misses.
+  int64_t answered_from_cache_total_ GUARDED_BY(stats_mu_) = 0;
   int64_t rejected_overload_total_ GUARDED_BY(stats_mu_) = 0;
   int64_t rejected_shutdown_total_ GUARDED_BY(stats_mu_) = 0;
   int64_t rejected_quota_total_ GUARDED_BY(stats_mu_) = 0;

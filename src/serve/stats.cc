@@ -185,7 +185,17 @@ std::string FormatServeStatsJson(const ServeStatsSnapshot& s) {
   AppendCacheJson(out, "cache", s.cache, std::max(1, s.cache_shards));
   out += ", ";
   AppendCacheJson(out, "cache_window", s.cache_window);
-  out += '}';
+  const ResponseCacheStats& r = s.response_cache;
+  std::snprintf(buf, sizeof(buf),
+                ", \"response_cache\": {\"hits\": %lld, \"misses\": %lld, "
+                "\"size\": %lld, \"evictions\": %lld, \"hit_rate\": ",
+                static_cast<long long>(r.hits),
+                static_cast<long long>(r.misses),
+                static_cast<long long>(r.size),
+                static_cast<long long>(r.evictions));
+  out += buf;
+  AppendJsonDouble(out, r.hit_rate());
+  out += "}}";
   return out;
 }
 

@@ -81,6 +81,25 @@ struct LatencyStatsSnapshot {
   std::array<int64_t, LatencyHistogram::kBucketCount> buckets = {};
 };
 
+/// \brief Response-cache counters (cumulative since startup).
+struct ResponseCacheStats {
+  /// Predicts answered from a stored answer, without evaluating.
+  int64_t hits = 0;
+  /// Predicts that found no stored answer (hits + misses ==
+  /// requests_total): they queued for, or coalesced onto, an
+  /// evaluation.
+  int64_t misses = 0;
+  /// Answers resident (bounded by the service's cache_max_entries).
+  int64_t size = 0;
+  /// Least-recently-used answers displaced to make room.
+  int64_t evictions = 0;
+
+  double hit_rate() const {
+    const int64_t n = hits + misses;
+    return n > 0 ? static_cast<double>(hits) / static_cast<double>(n) : 0.0;
+  }
+};
+
 /// \brief One /stats response payload (all counters cumulative since
 /// startup unless noted).
 struct ServeStatsSnapshot {
@@ -89,7 +108,8 @@ struct ServeStatsSnapshot {
   std::string replica_id;
   int64_t queue_depth = 0;
   bool draining = false;
-  /// Admitted predict requests, including ones served by coalescing.
+  /// Admitted predict requests, including ones served by coalescing or
+  /// from the response cache.
   int64_t requests_total = 0;
   /// Point evaluations actually dispatched (tasks completed).
   int64_t evaluations_total = 0;
@@ -134,6 +154,9 @@ struct ServeStatsSnapshot {
   /// slow bulk sweeps cannot skew the interactive percentiles).
   std::array<LatencyStatsSnapshot, kRequestPriorityCount>
       latency_by_priority = {};
+
+  /// Answers served without evaluating (the response cache).
+  ResponseCacheStats response_cache;
 
   /// Shared MVA-solve cache, cumulative since startup. Includes the
   /// checkpoint/recover lifecycle counters (warm-restart observability).

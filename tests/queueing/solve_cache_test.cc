@@ -110,6 +110,16 @@ TEST(ShardedSolveCacheTest, KeysAlwaysMapToTheSameShard) {
     EXPECT_TRUE(cache.Lookup(key).has_value()) << key;
   }
   EXPECT_EQ(cache.stats().size, 200);
+  // The per-shard counters partition the aggregate, and the keys spread.
+  int64_t hits = 0;
+  int shards_hit = 0;
+  for (int i = 0; i < cache.shard_count(); ++i) {
+    const int64_t shard_hits = cache.shard_stats(i).hits;
+    hits += shard_hits;
+    if (shard_hits > 0) ++shards_hit;
+  }
+  EXPECT_EQ(hits, 200);
+  EXPECT_GT(shards_hit, 1);
 }
 
 TEST(ShardedSolveCacheTest, CapacityIsSplitAcrossShards) {

@@ -39,6 +39,10 @@ ServeStatsSnapshot PopulatedSnapshot() {
   snapshot.cache.checkpoints = 1;
   snapshot.cache.recoveries = 1;
   snapshot.cache_shards = 8;
+  snapshot.response_cache.hits = 60;
+  snapshot.response_cache.misses = 40;
+  snapshot.response_cache.size = 33;
+  snapshot.response_cache.evictions = 7;
 
   auto& bulk =
       snapshot.latency_by_priority[static_cast<int>(RequestPriority::kBulk)];
@@ -75,6 +79,12 @@ TEST(PrometheusMetricsTest, ExpositionValidatesAndCarriesCoreFamilies) {
            "predictd_connections_total 34",
            "predictd_metrics_requests_total 6",
            "predictd_cache_lookups_total{result=\"hit\"} 80",
+           "# TYPE predictd_response_cache_lookups_total counter",
+           "predictd_response_cache_lookups_total{result=\"hit\"} 60",
+           "predictd_response_cache_lookups_total{result=\"miss\"} 40",
+           "# TYPE predictd_response_cache_entries gauge",
+           "predictd_response_cache_entries 33",
+           "predictd_response_cache_evictions_total 7",
            "# TYPE predictd_request_latency_milliseconds histogram",
            "predictd_request_latency_milliseconds_count{priority=\"bulk\"}"
            " 90",

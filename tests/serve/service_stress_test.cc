@@ -1,10 +1,12 @@
 /// TSan-targeted stress tests for PredictService lifecycle races:
 /// BeginDrain()/Drain() firing from several threads while clients are
-/// still submitting, and the /stats window fold racing the dispatcher.
-/// The service's contract under this abuse is exact: every future
-/// resolves with exactly one response — an evaluated result for
-/// requests admitted before the drain, a structured `shutting_down`
-/// rejection after — and nothing deadlocks or leaks a promise.
+/// still submitting, the /stats window fold racing the dispatcher, and
+/// duplicates racing their key's move from the coalescing map to the
+/// response cache. The service's contract under this abuse is exact:
+/// every future resolves with exactly one response — an evaluated (or
+/// cached) result for requests admitted before the drain, a structured
+/// `shutting_down` rejection after — and nothing deadlocks or leaks a
+/// promise.
 
 #include "serve/service.h"
 
@@ -12,6 +14,7 @@
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,6 +125,71 @@ TEST(PredictServiceStressTest, StatsWindowFoldRacesDispatcherAndDrain) {
   service.Drain();
   stop.store(true, std::memory_order_relaxed);
   stats_reader.join();
+}
+
+TEST(PredictServiceStressTest, DuplicatesRacingCompletionEvaluateOncePerKey) {
+  PredictServiceOptions options;
+  options.num_threads = 2;
+  options.max_batch = 2;  // keys complete in several batches
+  PredictService service(options);
+
+  constexpr int kKeys = 4;
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 60;
+  constexpr int kWindow = 4;
+  std::atomic<bool> go{false};
+  std::vector<std::vector<std::future<std::string>>> futures(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&service, &futures, &go, c] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      futures[c].reserve(kPerClient);
+      for (int i = 0; i < kPerClient; ++i) {
+        // Each client walks the keys from its own offset, so every key
+        // is asked for while queued, while evaluating and once answered.
+        const int key = (c + i) % kKeys;
+        futures[c].push_back(service.Submit(ModelOnlyLine(
+            "c" + std::to_string(c) + "-" + std::to_string(i), 2 + key)));
+        // A window of kWindow outstanding requests per client spreads
+        // the submissions across the evaluations' completions.
+        if (i >= kWindow) futures[c][i - kWindow].wait();
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& t : clients) t.join();
+
+  // One answer per request, under its own id, with one result per key.
+  std::map<int, std::string> result_by_key;
+  for (int c = 0; c < kClients; ++c) {
+    for (int i = 0; i < kPerClient; ++i) {
+      const std::string response = futures[c][i].get();
+      const std::string id =
+          "\"id\": \"c" + std::to_string(c) + "-" + std::to_string(i) + "\"";
+      ASSERT_NE(response.find(id), std::string::npos) << response;
+      ASSERT_NE(response.find("\"ok\": true"), std::string::npos)
+          << response;
+      const std::string result = response.substr(response.find("\"result\""));
+      auto [it, inserted] = result_by_key.emplace((c + i) % kKeys, result);
+      if (!inserted) {
+        EXPECT_EQ(it->second, result);
+      }
+    }
+  }
+
+  const ServeStatsSnapshot stats = service.Stats();
+  constexpr int64_t kRequests = int64_t{kClients} * kPerClient;
+  EXPECT_EQ(stats.evaluations_total, kKeys);
+  EXPECT_EQ(stats.requests_total, kRequests);
+  EXPECT_EQ(stats.responses_total, kRequests);
+  EXPECT_EQ(stats.response_cache.hits + stats.response_cache.misses,
+            kRequests);
+  // Every miss either started its key's evaluation or coalesced onto it.
+  EXPECT_EQ(stats.response_cache.misses,
+            stats.evaluations_total + stats.coalesced_total);
+  EXPECT_EQ(stats.response_cache.size, kKeys);
+  service.Drain();
 }
 
 }  // namespace

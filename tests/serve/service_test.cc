@@ -193,9 +193,13 @@ TEST(PredictServiceTest, ModelOnlyRequestsServeNullMeasurement) {
 
 TEST(PredictServiceTest, StatsRequestReportsAndResetsCacheWindow) {
   PredictService service(FastServiceOptions());
-  // Two rounds of the same request: round two hits the MVA cache.
+  // The same model point under a second seed: a new canonical key, so
+  // it is evaluated again (the response cache cannot answer it), and
+  // its model solves hit the MVA cache.
   service.Submit(RequestLine("w1", 2)).get();
-  service.Submit(RequestLine("w2", 2)).get();
+  service.Submit(R"({"id":"w2","nodes":2,"input_gb":0.25,"jobs":1,)"
+                 R"("repetitions":1,"seed":99})")
+      .get();
 
   const ServeStatsSnapshot before = service.Stats();
   EXPECT_EQ(before.requests_total, 2);
@@ -467,6 +471,155 @@ TEST(PredictServiceTest, PerClientQuotaRejectsBurstsPerPeer) {
       service.Submit(R"({"kind":"stats"})").get();
   EXPECT_NE(stats_response.find("\"stats\""), std::string::npos);
   EXPECT_EQ(service.Stats().rejected_quota_total, 2);
+}
+
+// ---- Response cache ----------------------------------------------------
+
+/// The response with its "id" value cut out: what must match between a
+/// cached answer and an evaluation of the same key.
+std::string WithoutId(const std::string& response) {
+  const size_t at = response.find(", \"ok\"");
+  return at == std::string::npos ? response : response.substr(at);
+}
+
+TEST(PredictServiceTest, HitsAreByteIdenticalAcrossSpellingsOfOneKey) {
+  PredictService service(FastServiceOptions());
+  const std::string first_line =
+      R"({"id":"first","nodes":2,"input_gb":0.25,"model_only":true})";
+  const std::string first = service.Submit(first_line).get();
+
+  // The offline evaluation of the same point is the byte oracle.
+  Result<ServeRequest> parsed = ParseServeRequest(first_line);
+  ASSERT_TRUE(parsed.ok());
+  SweepOptions sweep;
+  sweep.experiment = DefaultExperimentOptions();
+  SweepRunner runner(sweep);
+  const SweepReport report = runner.RunTasks(
+      {TaskForRequest(parsed->predict, sweep.experiment)});
+  ASSERT_TRUE(report.all_ok());
+  EXPECT_EQ(first, MakePredictResponse(std::string("first"),
+                                       *report.results[0]));
+
+  // Every spelling below shares first_line's canonical key.
+  const std::vector<std::pair<std::string, std::string>> spellings = {
+      {"bytes", R"({"id":"bytes","nodes":2,"input_bytes":268435456,)"
+                R"("model_only":true})"},
+      {"reps0", R"({"id":"reps0","nodes":2,"input_gb":0.25,)"
+                R"("repetitions":0})"},
+      {"v1", R"({"version":1,"id":"v1","nodes":2,"input_gb":0.25,)"
+             R"("model_only":true})"},
+      {"v2", R"({"version":2,"id":"v2","nodes":2,"input_gb":0.25,)"
+             R"("model_only":true,"priority":"interactive"})"},
+      {"default-profile", R"({"id":"default-profile","nodes":2,)"
+                          R"("input_gb":0.25,"model_only":true,)"
+                          R"("profile":"default"})"},
+  };
+  for (const auto& [id, line] : spellings) {
+    const std::string hit = service.Submit(line).get();
+    EXPECT_EQ(hit, MakePredictResponse(id, *report.results[0])) << line;
+    EXPECT_EQ(WithoutId(hit), WithoutId(first)) << line;
+    EXPECT_NE(hit, first);
+  }
+
+  // Hits are admitted requests and served answers, never evaluations.
+  const ServeStatsSnapshot stats = service.Stats();
+  const int64_t requests = 1 + static_cast<int64_t>(spellings.size());
+  EXPECT_EQ(stats.requests_total, requests);
+  EXPECT_EQ(stats.evaluations_total, 1);
+  EXPECT_EQ(stats.coalesced_total, 0);
+  EXPECT_EQ(stats.responses_total, requests);
+  EXPECT_EQ(stats.response_cache.hits, requests - 1);
+  EXPECT_EQ(stats.response_cache.misses, 1);
+  EXPECT_EQ(stats.response_cache.size, 1);
+  EXPECT_EQ(stats.latency_count, static_cast<size_t>(requests));
+  EXPECT_EQ(stats.latency_by_priority[static_cast<int>(
+                                          RequestPriority::kInteractive)]
+                .count,
+            1u);
+}
+
+TEST(PredictServiceTest, FailedEvaluationIsNotCached) {
+  PredictServiceOptions options = FastServiceOptions();
+  // An invalid model tolerance: every evaluation fails in the model.
+  options.experiment.model.epsilon = -1.0;
+  PredictService service(options);
+  const std::string line =
+      R"({"id":"f","nodes":2,"input_gb":0.25,"model_only":true})";
+  const std::string a = service.Submit(line).get();
+  const std::string b = service.Submit(line).get();
+  EXPECT_NE(a.find("\"ok\": false"), std::string::npos) << a;
+  EXPECT_EQ(a, b);
+
+  const ServeStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.evaluations_total, 2);
+  EXPECT_EQ(stats.response_cache.hits, 0);
+  EXPECT_EQ(stats.response_cache.misses, 2);
+  EXPECT_EQ(stats.response_cache.size, 0);
+}
+
+TEST(PredictServiceTest, ResponseCacheEvictsLeastRecentlyUsedAtCap) {
+  PredictServiceOptions options = FastServiceOptions();
+  options.cache_max_entries = 2;
+  PredictService service(options);
+  const auto line = [](int nodes) {
+    return "{\"nodes\":" + std::to_string(nodes) +
+           ",\"input_gb\":0.25,\"model_only\":true}";
+  };
+  service.Submit(line(2)).get();  // evaluated: {2}
+  service.Submit(line(3)).get();  // evaluated: {3, 2}
+  service.Submit(line(2)).get();  // hit, 2 most recent: {2, 3}
+  service.Submit(line(4)).get();  // evaluated, evicts 3: {4, 2}
+  ServeStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.evaluations_total, 3);
+  EXPECT_EQ(stats.response_cache.hits, 1);
+  EXPECT_EQ(stats.response_cache.evictions, 1);
+  EXPECT_EQ(stats.response_cache.size, 2);
+
+  service.Submit(line(2)).get();  // still resident: hit
+  service.Submit(line(3)).get();  // evicted: evaluated again
+  stats = service.Stats();
+  EXPECT_EQ(stats.evaluations_total, 4);
+  EXPECT_EQ(stats.response_cache.hits, 2);
+  EXPECT_EQ(stats.response_cache.evictions, 2);
+  EXPECT_EQ(stats.response_cache.size, 2);
+}
+
+TEST(PredictServiceTest, QuotaAndDrainApplyToHits) {
+  const std::string line =
+      R"({"id":"q","nodes":2,"input_gb":0.25,"model_only":true})";
+  {
+    PredictServiceOptions options = FastServiceOptions();
+    options.quota_rps = 1;
+    PredictService service(options);
+    ResponseLog log;
+    service.SubmitLine(line, "10.0.0.1:9", log.Tag("evaluated"));
+    log.WaitFor(1);
+    // The answer is cached, but the peer's one token is spent.
+    service.SubmitLine(line, "10.0.0.1:9", log.Tag("limited"));
+    log.WaitFor(2);
+    EXPECT_NE(log.response("evaluated").find("\"ok\": true"),
+              std::string::npos);
+    EXPECT_NE(log.response("limited").find("\"code\": \"quota_exceeded\""),
+              std::string::npos)
+        << log.response("limited");
+    const ServeStatsSnapshot stats = service.Stats();
+    EXPECT_EQ(stats.rejected_quota_total, 1);
+    EXPECT_EQ(stats.response_cache.hits, 0);
+    EXPECT_EQ(stats.response_cache.size, 1);
+  }
+  {
+    PredictService service(FastServiceOptions());
+    EXPECT_NE(service.Submit(line).get().find("\"ok\": true"),
+              std::string::npos);
+    service.BeginDrain();
+    const std::string late = service.Submit(line).get();
+    EXPECT_NE(late.find("\"code\": \"shutting_down\""), std::string::npos)
+        << late;
+    const ServeStatsSnapshot stats = service.Stats();
+    EXPECT_EQ(stats.rejected_shutdown_total, 1);
+    EXPECT_EQ(stats.response_cache.hits, 0);
+    EXPECT_EQ(stats.requests_total, 1);
+  }
 }
 
 TEST(PredictServiceTest, BatchedRequestsAllComplete) {

@@ -126,6 +126,10 @@ TEST(FormatServeStatsJsonTest, RendersParseableSnapshot) {
   snapshot.cache.size = 5;
   snapshot.cache_window.hits = 2;
   snapshot.cache_window.misses = 2;
+  snapshot.response_cache.hits = 6;
+  snapshot.response_cache.misses = 4;
+  snapshot.response_cache.size = 3;
+  snapshot.response_cache.evictions = 1;
 
   const std::string json = FormatServeStatsJson(snapshot);
   Result<JsonValue> parsed = ParseJson(json);
@@ -147,6 +151,13 @@ TEST(FormatServeStatsJsonTest, RendersParseableSnapshot) {
   const JsonValue* window = parsed->Find("cache_window");
   ASSERT_NE(window, nullptr);
   EXPECT_EQ(window->Find("hit_rate")->number_value(), 0.5);
+  const JsonValue* answers = parsed->Find("response_cache");
+  ASSERT_NE(answers, nullptr);
+  EXPECT_EQ(answers->Find("hits")->number_value(), 6.0);
+  EXPECT_EQ(answers->Find("misses")->number_value(), 4.0);
+  EXPECT_EQ(answers->Find("size")->number_value(), 3.0);
+  EXPECT_EQ(answers->Find("evictions")->number_value(), 1.0);
+  EXPECT_EQ(answers->Find("hit_rate")->number_value(), 0.6);
 }
 
 TEST(FormatServeStatsJsonTest, ReportsProtocolVersionAndCacheLifecycle) {

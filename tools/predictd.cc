@@ -3,10 +3,10 @@
 /// Serves the paper's what-if model over newline-delimited JSON on TCP
 /// (wire protocol: src/serve/request.h). All the serving machinery —
 /// bounded admission, micro-batching onto the sweep engine's worker
-/// pool, in-flight coalescing, the shared MVA cache — lives in
-/// src/serve/; this binary only parses flags, prints the bound address,
-/// and turns SIGTERM/SIGINT into a graceful drain (every admitted
-/// request is answered before exit).
+/// pool, in-flight coalescing, the response cache, the shared MVA solve
+/// cache — lives in src/serve/; this binary only parses flags, prints
+/// the bound address, and turns SIGTERM/SIGINT into a graceful drain
+/// (every admitted request is answered before exit).
 ///
 /// Flags: --port=N (default 0 = ephemeral; the bound port is printed),
 /// --host=A (default 127.0.0.1), --threads=N (0 = auto),
@@ -15,7 +15,8 @@
 /// --quota-rps=N (per-client token-bucket rate limit; 0 = off),
 /// --metrics=0|1 (HTTP GET /metrics and /stats on the listen port),
 /// --cache-shards=N, --cache-file=PATH (checkpoint the solve cache on
-/// drain, recover it on boot — warm restarts), --verbose.
+/// drain, recover it on boot — warm restarts; answers are not
+/// persisted), --verbose.
 ///
 /// Example session:
 ///   $ ./predictd --port=7077 &
@@ -111,7 +112,8 @@ int main(int argc, char** argv) {
         "  --cache-shards=N  solve-cache lock shards, rounded up to a\n"
         "                    power of two; 1 = single mutex (default 8)\n"
         "  --cache-file=PATH checkpoint the solve cache here on drain\n"
-        "                    and recover it on the next boot\n"
+        "                    and recover it on the next boot (answers\n"
+        "                    are not persisted)\n"
         "  --replica-id=S identity label surfaced in /stats and as the\n"
         "                    predictd_replica_info metric label\n"
         "  --verbose      info-level logging\n");
@@ -177,13 +179,15 @@ int main(int argc, char** argv) {
   const ServeStatsSnapshot stats = server.service().Stats();
   std::fprintf(stderr,
                "predictd: served %lld responses (%lld requests, %lld "
-               "evaluations, %lld coalesced), cache hit rate %.3f, "
-               "p50/p95/p99 latency %.1f/%.1f/%.1f ms\n",
+               "evaluations, %lld coalesced), response-cache hit rate "
+               "%.3f, solve-cache hit rate %.3f, p50/p95/p99 latency "
+               "%.1f/%.1f/%.1f ms\n",
                static_cast<long long>(stats.responses_total),
                static_cast<long long>(stats.requests_total),
                static_cast<long long>(stats.evaluations_total),
                static_cast<long long>(stats.coalesced_total),
-               stats.cache.hit_rate(), stats.latency_p50_ms,
-               stats.latency_p95_ms, stats.latency_p99_ms);
+               stats.response_cache.hit_rate(), stats.cache.hit_rate(),
+               stats.latency_p50_ms, stats.latency_p95_ms,
+               stats.latency_p99_ms);
   return 0;
 }
