@@ -3,12 +3,6 @@
 /// than sample-based (profile-history) initialization. We compare the
 /// static initialization against deliberately poor starting points and
 /// report iterations to convergence and the fixed point reached.
-///
-/// A final row turns on ModelOptions::warm_start: every outer-loop
-/// iteration seeds its A4 solve with the previous iteration's converged
-/// residence matrix, so the row reports the same fixed point with fewer
-/// executed MVA sweeps — the intra-model half of the sweep engine's
-/// warm-start design.
 
 #include <cstdio>
 
@@ -32,26 +26,21 @@ int main() {
     return 1;
   }
 
-  ModelOptions opts = DefaultExperimentOptions().model;
+  const ModelOptions opts = DefaultExperimentOptions().model;
   std::printf("%-28s | %9s %9s %6s %9s\n", "initialization", "forkjoin",
               "tripathi", "iters", "mva swps");
   struct Variant {
     const char* name;
     double scale;
-    bool warm_start;
   };
-  for (const Variant& v :
-       {Variant{"herodotou static (paper)", 1.0, false},
-        Variant{"pessimistic sample (x5)", 5.0, false},
-        Variant{"optimistic sample (x0.2)", 0.2, false},
-        Variant{"warm-start outer loop", 1.0, true}}) {
+  for (const Variant& v : {Variant{"herodotou static (paper)", 1.0},
+                           Variant{"pessimistic sample (x5)", 5.0},
+                           Variant{"optimistic sample (x0.2)", 0.2}}) {
     ModelInput in = *base;
     in.init_map_response *= v.scale;
     in.init_shuffle_sort_response *= v.scale;
     in.init_merge_response *= v.scale;
-    ModelOptions variant_opts = opts;
-    variant_opts.warm_start = v.warm_start;
-    auto r = SolveModel(in, variant_opts);
+    auto r = SolveModel(in, opts);
     if (!r.ok()) {
       std::fprintf(stderr, "model failed: %s\n",
                    r.status().ToString().c_str());
@@ -67,9 +56,6 @@ int main() {
       "other — the damped update forgets the starting point geometrically.\n"
       "The paper's preference for the static initialization (§4.2.1) is\n"
       "about avoiding a profiling pass, which this reproduces: no history\n"
-      "is needed to produce the x1.0 row. The warm-start row reaches the\n"
-      "same responses as the paper row while executing fewer MVA sweeps:\n"
-      "each outer iteration resumes from the previous fixed point instead\n"
-      "of the uniform solver init.\n");
+      "is needed to produce the x1.0 row.\n");
   return 0;
 }

@@ -10,123 +10,22 @@
 /// carries beyond its own scheduler; heterogeneous rows exercise the
 /// §4.2.2 lowest-occupancy placement over mixed-capacity nodes.
 ///
-/// The grid is also re-run with SweepOptions::warm_start on, so the
-/// bench records the A4 solver effort both ways: the JSON artifact
-/// carries cold vs warm executed-sweep totals, and --smoke gates that
-/// the warm run (a) executes strictly fewer damped MVA sweeps, (b) stays
-/// byte-identical across worker counts (the warm-start chains are a pure
-/// function of the point index), and (c) matches the cold predictions
-/// within the solver tolerance.
-///
 /// Flags: --threads=N (0 = auto), --out=CSV, --json-out=JSON,
 /// --progress (per-point stderr stream), --smoke (small grid + a
 /// determinism gate: the sweep must be byte-identical at 1 worker and at
 /// the requested worker count — the CI Release perf-smoke configuration).
 
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "engine/sweep_csv.h"
 #include "engine/sweep_grid.h"
-#include "engine/sweep_json.h"
 #include "engine/sweep_runner.h"
 #include "experiments/experiment.h"
 #include "experiments/report.h"
 #include "figure_common.h"
 #include "workload/wordcount.h"
-
-namespace {
-
-/// A4 solver-effort totals summed over every point of a sweep.
-struct SolverTotals {
-  long long sweeps = 0;      // executed damped MVA sweeps
-  long long warm_solves = 0;
-  long long cold_solves = 0;
-  long long cache_hits = 0;
-};
-
-SolverTotals SumSolverTotals(
-    const std::vector<mrperf::ExperimentResult>& results) {
-  SolverTotals t;
-  for (const mrperf::ExperimentResult& r : results) {
-    t.sweeps += r.mva_iterations;
-    t.warm_solves += r.mva_warm_solves;
-    t.cold_solves += r.mva_cold_solves;
-    t.cache_hits += r.mva_cache_hits;
-  }
-  return t;
-}
-
-/// Warm-vs-cold agreement: the simulator is untouched by warm starts
-/// (measured medians must be bit-equal), and the model predictions must
-/// agree within the fixed point's own tolerance headroom.
-bool WarmMatchesCold(const std::vector<mrperf::ExperimentResult>& cold,
-                     const std::vector<mrperf::ExperimentResult>& warm,
-                     double rel_tol) {
-  if (cold.size() != warm.size()) return false;
-  const auto close = [rel_tol](double a, double b) {
-    return std::abs(a - b) <= rel_tol * std::max(1.0, std::abs(a));
-  };
-  for (size_t i = 0; i < cold.size(); ++i) {
-    const bool measured_equal =
-        cold[i].measured_sec == warm[i].measured_sec ||
-        (std::isnan(cold[i].measured_sec) && std::isnan(warm[i].measured_sec));
-    if (!measured_equal) return false;
-    if (!close(cold[i].forkjoin_sec, warm[i].forkjoin_sec)) return false;
-    if (!close(cold[i].tripathi_sec, warm[i].tripathi_sec)) return false;
-  }
-  return true;
-}
-
-/// Writes {"results": <FormatSweepJson array>, "iterations": {...}} so
-/// the BENCH artifact records the warm-start win alongside the series.
-bool WriteSweepJsonWithIterations(const std::string& path,
-                                  const std::vector<mrperf::ExperimentResult>&
-                                      results,
-                                  const SolverTotals& cold,
-                                  const SolverTotals& warm,
-                                  const SolverTotals& cold_cached,
-                                  const SolverTotals& warm_cached) {
-  std::ofstream file(path, std::ios::out | std::ios::trunc);
-  if (!file) {
-    std::fprintf(stderr, "cannot open '%s' for writing\n", path.c_str());
-    return false;
-  }
-  std::string arr = mrperf::FormatSweepJson(results);
-  while (!arr.empty() && arr.back() == '\n') arr.pop_back();
-  const double n = results.empty() ? 1.0 : static_cast<double>(results.size());
-  const double reduction =
-      cold.sweeps > 0
-          ? 1.0 - static_cast<double>(warm.sweeps) /
-                      static_cast<double>(cold.sweeps)
-          : 0.0;
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      ",\n  \"iterations\": {\"cold_total\": %lld, \"cold_mean\": %.17g, "
-      "\"cold_solves\": %lld, \"cold_cache_hits\": %lld, "
-      "\"warm_total\": %lld, \"warm_mean\": %.17g, "
-      "\"warm_solves\": %lld, \"warm_cold_solves\": %lld, "
-      "\"warm_cache_hits\": %lld, \"reduction\": %.17g, "
-      "\"cold_cached_total\": %lld, \"warm_cached_total\": %lld}\n}\n",
-      cold.sweeps, static_cast<double>(cold.sweeps) / n, cold.cold_solves,
-      cold.cache_hits, warm.sweeps, static_cast<double>(warm.sweeps) / n,
-      warm.warm_solves, warm.cold_solves, warm.cache_hits, reduction,
-      cold_cached.sweeps, warm_cached.sweeps);
-  file << "{\n  \"results\": " << arr << buf;
-  file.flush();
-  if (!file) {
-    std::fprintf(stderr, "failed writing '%s'\n", path.c_str());
-    return false;
-  }
-  std::printf("wrote %zu records to %s\n", results.size(), path.c_str());
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mrperf;
@@ -202,74 +101,6 @@ int main(int argc, char** argv) {
                   report.wall_seconds, report.cache_stats.hits,
                   report.cache_stats.lookups());
 
-  // Warm-start re-run of the same grid in the production configuration
-  // (shared cache on): chunk-chained initial guesses, chunk_points=4 so
-  // the 8-point grid still schedules multiple chains.
-  SweepOptions warm_opts = sweep_opts;
-  warm_opts.warm_start = true;
-  warm_opts.chunk_points = 4;
-  warm_opts.progress = nullptr;
-  SweepRunner warm_runner(warm_opts);
-  SweepReport warm_report = warm_runner.Run(grid);
-  if (!warm_report.all_ok()) {
-    std::fprintf(stderr, "warm-start sweep failed: %s\n",
-                 warm_report.first_error().ToString().c_str());
-    return 1;
-  }
-  const std::vector<ExperimentResult> warm_results = warm_report.values();
-
-  // Warm-start ablation, shared cache OFF in both arms. The scenario
-  // grid's scheduler axis is invisible to the analytic model (it always
-  // assumes capacity-FIFO placement), so half the grid poses exactly
-  // duplicated model problems — which the shared cache dedups for free
-  // in the cold run, while warm solves must bypass it (a warm result is
-  // trajectory-dependent; caching it would make sweep output depend on
-  // scheduling). Holding the cache off in both arms isolates the
-  // warm-start lever the way a real what-if grid of distinct points
-  // sees it; the cache-on totals are printed alongside for context.
-  const auto run_arm = [&](bool warm_start) -> SweepReport {
-    SweepOptions arm = sweep_opts;
-    arm.use_mva_cache = false;
-    arm.warm_start = warm_start;
-    arm.chunk_points = 4;
-    arm.progress = nullptr;
-    SweepRunner arm_runner(arm);
-    return arm_runner.Run(grid);
-  };
-  const SweepReport cold_nocache = run_arm(false);
-  const SweepReport warm_nocache = run_arm(true);
-  if (!cold_nocache.all_ok() || !warm_nocache.all_ok()) {
-    std::fprintf(stderr, "ablation arm failed: %s\n",
-                 (!cold_nocache.all_ok() ? cold_nocache.first_error()
-                                         : warm_nocache.first_error())
-                     .ToString()
-                     .c_str());
-    return 1;
-  }
-  const SolverTotals cold_totals = SumSolverTotals(cold_nocache.values());
-  const SolverTotals warm_totals = SumSolverTotals(warm_nocache.values());
-  const SolverTotals cold_cached = SumSolverTotals(results);
-  const SolverTotals warm_cached = SumSolverTotals(warm_results);
-
-  std::printf("\nwarm-start ablation (executed A4 damped MVA sweeps)\n");
-  std::printf("%-12s | %10s | %8s | %11s | %11s | %10s\n", "mode",
-              "mva sweeps", "mean/pt", "cold solves", "warm solves",
-              "memo+hits");
-  const auto print_row = [&](const char* name, const SolverTotals& t) {
-    std::printf("%-12s | %10lld | %8.1f | %11lld | %11lld | %10lld\n", name,
-                t.sweeps, static_cast<double>(t.sweeps) / results.size(),
-                t.cold_solves, t.warm_solves, t.cache_hits);
-  };
-  print_row("cold", cold_totals);
-  print_row("warm", warm_totals);
-  print_row("cold+cache", cold_cached);
-  print_row("warm+cache", warm_cached);
-  if (cold_totals.sweeps > 0) {
-    std::printf("warm start cuts executed sweeps by %.1f%%\n",
-                100.0 * (1.0 - static_cast<double>(warm_totals.sweeps) /
-                                   static_cast<double>(cold_totals.sweeps)));
-  }
-
   if (smoke) {
     // Determinism gate: the scenario grid must expand and evaluate to
     // byte-identical serialized results at any worker count. Re-run on a
@@ -293,58 +124,10 @@ int main(int argc, char** argv) {
     }
     std::printf("smoke: byte-identical at %d worker(s) vs 1 worker\n",
                 report.threads_used);
-
-    // The same gate with warm starts on: the chunk layout and every
-    // warm chain are pure functions of the point index, so the warm
-    // sweep must also serialize byte-identically at any worker count.
-    SweepOptions warm_serial_opts = warm_opts;
-    warm_serial_opts.num_threads = 1;
-    SweepRunner warm_serial_runner(warm_serial_opts);
-    SweepReport warm_serial = warm_serial_runner.Run(grid);
-    if (!warm_serial.all_ok()) {
-      std::fprintf(stderr, "smoke: warm serial re-run failed: %s\n",
-                   warm_serial.first_error().ToString().c_str());
-      return 1;
-    }
-    if (FormatSweepCsv(warm_results) !=
-        FormatSweepCsv(warm_serial.values())) {
-      std::fprintf(stderr,
-                   "smoke: warm-start sweep is NOT byte-identical across "
-                   "worker counts\n");
-      return 1;
-    }
-    std::printf("smoke: warm-start byte-identical at %d worker(s) vs 1 "
-                "worker\n",
-                warm_report.threads_used);
-
-    // Perf gate: warm starts must strictly reduce executed solver work,
-    // and by at least 25% on this reference grid (the PR's headline).
-    if (warm_totals.sweeps >= cold_totals.sweeps ||
-        4 * warm_totals.sweeps > 3 * cold_totals.sweeps) {
-      std::fprintf(stderr,
-                   "smoke: warm start did not cut executed MVA sweeps by "
-                   ">=25%% (warm %lld vs cold %lld)\n",
-                   warm_totals.sweeps, cold_totals.sweeps);
-      return 1;
-    }
-    // Accuracy gate: warm fixed points agree with the cold ones.
-    if (!WarmMatchesCold(results, warm_results, 1e-6)) {
-      std::fprintf(stderr,
-                   "smoke: warm-start predictions diverge from the cold "
-                   "sweep beyond tolerance\n");
-      return 1;
-    }
-    std::printf("smoke: warm start reduced sweeps %lld -> %lld within "
-                "tolerance\n",
-                cold_totals.sweeps, warm_totals.sweeps);
   }
 
   if (!bench::MaybeWriteCsv(out_path, results)) return 1;
-  if (!json_path.empty() &&
-      !WriteSweepJsonWithIterations(json_path, results, cold_totals,
-                                    warm_totals, cold_cached, warm_cached)) {
-    return 1;
-  }
+  if (!bench::MaybeWriteJson(json_path, results)) return 1;
   std::printf(
       "\nExpected shape: Tetris rows keep the model's capacity-FIFO\n"
       "assumption, so their errors bound how far the paper's model\n"

@@ -1,13 +1,11 @@
 #include "engine/sweep_runner.h"
 
-#include <algorithm>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <future>
-#include <memory>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/thread_annotations.h"
@@ -23,42 +21,37 @@ double SecondsSince(SteadyClock::time_point start) {
   return std::chrono::duration<double>(SteadyClock::now() - start).count();
 }
 
-
-/// Shared state of one RunTasks fan-out. Held by shared_ptr in every
-/// worker task so an exception unwinding the RunTasks frame while
-/// workers are still draining can never leave them with dangling
-/// references (RunTasks additionally joins every worker before
-/// returning or rethrowing).
-struct SweepWorkState {
-  struct Unit {
-    ExperimentPoint point;
-    ExperimentOptions options;
-  };
-  std::vector<Unit> units;
-  /// Chunk c covers point indices [c·chunk_points, …) — fixed before
-  /// any worker starts.
-  size_t chunk_points = 1;
-  bool warm_start = false;
-  /// Fan a point's repetitions out as pool sub-tasks (set only when
-  /// chunks leave pool threads idle, so the sub-tasks always have a
-  /// free thread to run on).
-  bool fan_repetitions = false;
-  /// One slot per point, each written by exactly the worker holding its
-  /// chunk; engaged for every point once all workers have joined.
-  std::vector<std::optional<Result<ExperimentResult>>> slots;
-
-  Mutex mu;
-  std::deque<size_t> chunk_queue GUARDED_BY(mu);
-
-  /// Steals the next whole chunk; false when the deque is empty.
-  bool PopChunk(size_t* chunk) {
-    MutexLock lock(mu);
-    if (chunk_queue.empty()) return false;
-    *chunk = chunk_queue.front();
-    chunk_queue.pop_front();
-    return true;
+/// Submits the task `make_task(i)` for every i in [0, count) and returns
+/// the results in index order. Every submitted task is joined before
+/// this returns or rethrows: a Submit that throws (the pool shut down
+/// mid-fan-out) or a task that throws is rethrown only once the others
+/// have finished, so no task outlives the caller's frame unobserved.
+template <typename MakeTask>
+auto SubmitEachAndJoin(ThreadPool& pool, size_t count,
+                       const MakeTask& make_task) {
+  using R = std::invoke_result_t<decltype(make_task(size_t{0}))>;
+  std::vector<std::future<R>> futures;
+  futures.reserve(count);
+  std::exception_ptr failure;
+  try {
+    for (size_t i = 0; i < count; ++i) {
+      futures.push_back(pool.Submit(make_task(i)));
+    }
+  } catch (...) {
+    failure = std::current_exception();
   }
-};
+  std::vector<R> results;
+  results.reserve(futures.size());
+  for (auto& f : futures) {
+    try {
+      results.push_back(f.get());
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
+  return results;
+}
 
 /// Evaluates one point, fanning its independent simulator repetitions
 /// out to `pool` when allowed. The fanned path computes exactly the
@@ -74,8 +67,8 @@ Result<ExperimentResult> EvaluatePoint(ThreadPool& pool,
   if (!fan_repetitions || reps <= 1) return RunExperiment(point, options);
 
   // Sub-tasks only touch the simulator side; strip the model options so
-  // no cross-thread pointer (scratch, warm-start carry) leaks into the
-  // captured copies.
+  // no cross-thread pointer (scratch, cache) leaks into the captured
+  // copies.
   ExperimentOptions sim_options = options;
   sim_options.model = ModelOptions{};
   std::vector<std::optional<std::future<Result<double>>>> futures(
@@ -116,61 +109,12 @@ Result<ExperimentResult> EvaluatePoint(ThreadPool& pool,
   return AssembleExperimentResult(point, *model, rep_means);
 }
 
-/// Walks one stolen chunk in index order, threading the warm-start
-/// carry from each point into its successor. `point_done` is the
-/// progress callback hook.
-void ProcessChunk(ThreadPool& pool, SweepWorkState& state, size_t chunk,
-                  const std::function<void()>& point_done) {
-  const size_t begin = chunk * state.chunk_points;
-  const size_t end =
-      std::min(begin + state.chunk_points, state.units.size());
-  ModelWarmStart carry;
-  bool have_carry = false;
-  for (size_t i = begin; i < end; ++i) {
-    const SweepWorkState::Unit& unit = state.units[i];
-    ExperimentOptions opts = unit.options;
-    // Resolved on the worker thread: each worker reuses one kernel
-    // scratch across every point it evaluates (and across sweeps), so
-    // grid sweeps stop reallocating solver buffers per point.
-    opts.model.mva_scratch = &ThreadLocalMvaScratch();
-    ModelWarmStart exported;
-    if (state.warm_start) {
-      opts.model.warm_start = true;
-      opts.model.export_warm_start = &exported;
-      if (have_carry && !carry.empty()) {
-        opts.model.initial_guess = &carry;
-      }
-    }
-    Result<ExperimentResult> result =
-        EvaluatePoint(pool, unit.point, opts, state.fan_repetitions);
-    if (state.warm_start) {
-      if (result.ok()) {
-        carry = std::move(exported);
-        have_carry = true;
-      } else {
-        // A failed point resets the chain: its successor starts cold,
-        // exactly as if it opened the chunk.
-        have_carry = false;
-      }
-    }
-    state.slots[i] = std::move(result);
-    point_done();
-  }
-}
-
 }  // namespace
-
-size_t DefaultSweepChunkPoints(size_t points) {
-  return std::max<size_t>(1, points / 32);
-}
 
 /// Counts completed points and invokes the user callback under a mutex,
 /// so observers see serialized, completion-ordered snapshots whatever
-/// the worker count. Shared (by value) with every worker lambda: if an
-/// exception unwinds the Run* frame while pool tasks are still
-/// in-flight, the last task keeps the reporter alive — a stack-local
-/// would be destroyed under them. The callback and cache are copied /
-/// owned by the runner, which outlives its pool.
+/// the worker count. Lives on the Run* frame: SubmitEachAndJoin joins
+/// every task before that frame returns or unwinds.
 class SweepRunner::ProgressReporter {
  public:
   ProgressReporter(std::function<void(const SweepProgress&)> callback,
@@ -265,77 +209,31 @@ SweepReport SweepRunner::Run(const SweepGrid& grid) {
 SweepReport SweepRunner::RunTasks(const std::vector<Task>& tasks) {
   const auto start = SteadyClock::now();
   const size_t n = tasks.size();
-
-  auto reporter = std::make_shared<ProgressReporter>(options_.progress, n,
-                                                     *cache_);
-  auto state = std::make_shared<SweepWorkState>();
-  state->units.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    SweepWorkState::Unit unit;
-    unit.point = tasks[i].point;
-    unit.options = tasks[i].options;
-    if (tasks[i].derive_seed) {
-      unit.options.base_seed = PointSeed(tasks[i].options.base_seed, i);
-    }
-    unit.options.model.mva_cache =
-        options_.use_mva_cache ? cache_.get() : nullptr;
-    state->units.push_back(std::move(unit));
-  }
-  // The chunk layout is a pure function of the point count (plus the
-  // explicit override) — never of the worker count — so every
-  // warm-start chain is identical at any thread count.
-  state->chunk_points = options_.chunk_points > 0
-                            ? options_.chunk_points
-                            : DefaultSweepChunkPoints(n);
-  state->warm_start = options_.warm_start;
-  const size_t num_chunks =
-      n == 0 ? 0 : (n + state->chunk_points - 1) / state->chunk_points;
-  state->slots.resize(n);
-  {
-    MutexLock lock(state->mu);
-    for (size_t c = 0; c < num_chunks; ++c) state->chunk_queue.push_back(c);
-  }
-  const size_t workers = std::min<size_t>(
-      static_cast<size_t>(pool_.thread_count()), num_chunks);
-  // Small grids: with pool threads left idle by the chunk workers, fan
-  // each point's simulator repetitions out as sub-tasks (the idle
-  // threads run them; results are byte-identical either way).
-  state->fan_repetitions =
-      workers < static_cast<size_t>(pool_.thread_count());
-
-  std::vector<std::future<void>> worker_futures;
-  worker_futures.reserve(workers);
-  std::exception_ptr failure;
-  try {
-    for (size_t w = 0; w < workers; ++w) {
-      worker_futures.push_back(
-          pool_.Submit([state, reporter, &pool = pool_]() {
-            size_t chunk = 0;
-            while (state->PopChunk(&chunk)) {
-              ProcessChunk(pool, *state, chunk,
-                           [&reporter]() { reporter->PointDone(); });
-            }
-          }));
-    }
-  } catch (...) {
-    failure = std::current_exception();  // pool shut down mid-submit
-  }
-  // Join every worker before touching the slots (and before any
-  // rethrow can unwind this frame).
-  for (auto& f : worker_futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!failure) failure = std::current_exception();
-    }
-  }
-  if (failure) std::rethrow_exception(failure);
+  ProgressReporter reporter(options_.progress, n, *cache_);
+  // Runs with fewer points than pool threads fan each point's simulator
+  // repetitions out as sub-tasks: the threads no point occupies run
+  // them, and results are byte-identical either way.
+  const bool fan_repetitions =
+      n < static_cast<size_t>(pool_.thread_count());
 
   SweepReport report;
-  report.results.reserve(n);
-  for (auto& slot : state->slots) {
-    report.results.push_back(*std::move(slot));
-  }
+  report.results = SubmitEachAndJoin(pool_, n, [&](size_t i) {
+    const ExperimentPoint point = tasks[i].point;
+    ExperimentOptions opts = tasks[i].options;
+    if (tasks[i].derive_seed) {
+      opts.base_seed = PointSeed(tasks[i].options.base_seed, i);
+    }
+    opts.model.mva_cache = options_.use_mva_cache ? cache_.get() : nullptr;
+    return [point, opts, fan_repetitions, &reporter, &pool = pool_]() mutable {
+      // Resolved on the worker thread: each worker reuses one kernel
+      // scratch across every point it evaluates (and across sweeps).
+      opts.model.mva_scratch = &ThreadLocalMvaScratch();
+      Result<ExperimentResult> result =
+          EvaluatePoint(pool, point, opts, fan_repetitions);
+      reporter.PointDone();
+      return result;
+    };
+  });
   report.wall_seconds = SecondsSince(start);
   report.threads_used = pool_.thread_count();
   report.cache_stats = cache_->stats();
@@ -344,26 +242,17 @@ SweepReport SweepRunner::RunTasks(const std::vector<Task>& tasks) {
 
 std::vector<Result<ModelResult>> SweepRunner::RunModels(
     const std::vector<ExperimentPoint>& points) {
-  auto reporter = std::make_shared<ProgressReporter>(options_.progress,
-                                                     points.size(), *cache_);
-  std::vector<std::future<Result<ModelResult>>> futures;
-  futures.reserve(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
+  ProgressReporter reporter(options_.progress, points.size(), *cache_);
+  return SubmitEachAndJoin(pool_, points.size(), [&](size_t i) {
     const ExperimentPoint point = points[i];
     ExperimentOptions opts = PointOptions(i);
-    futures.push_back(pool_.Submit([point, opts, reporter]() mutable {
+    return [point, opts, &reporter]() mutable {
       opts.model.mva_scratch = &ThreadLocalMvaScratch();
       Result<ModelResult> result = RunModelPrediction(point, opts);
-      reporter->PointDone();
+      reporter.PointDone();
       return result;
-    }));
-  }
-  std::vector<Result<ModelResult>> out;
-  out.reserve(points.size());
-  for (auto& f : futures) {
-    out.push_back(f.get());
-  }
-  return out;
+    };
+  });
 }
 
 }  // namespace mrperf

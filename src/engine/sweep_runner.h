@@ -3,30 +3,17 @@
 ///
 /// Fans ExperimentPoint evaluations (simulator repetitions + analytic
 /// model solves, experiments/experiment.h) out across a ThreadPool.
-/// Run/RunTasks partition the row-major grid into contiguous chunks
-/// (SweepOptions::chunk_points) held in a central deque; idle workers
-/// steal whole chunks, so heterogeneous point costs rebalance without
-/// ever splitting a chunk. Three properties make the fan-out safe to
-/// reason about:
+/// Run/RunTasks/RunModels submit one pool task per point, in index
+/// order; the FIFO pool starts points in that order and idle workers
+/// take the next one, so heterogeneous point costs rebalance on their
+/// own. Two properties make the fan-out safe to reason about:
 ///
 ///  1. **Determinism.** Every point derives its simulator seed purely
 ///     from (base_seed, point index) via a SplitMix64-style mix, and
 ///     point evaluation shares no mutable state except the MVA cache —
 ///     whose hits are bit-identical to recomputation. A sweep therefore
 ///     produces byte-identical results at any worker count.
-///  2. **Index-deterministic warm starts.** With
-///     SweepOptions::warm_start, each point seeds its model's first A4
-///     solve from the converged fixed point of its in-chunk
-///     predecessor. The warm-start source is a pure function of the
-///     point index — chunk boundaries depend only on the point count,
-///     a chunk is always walked in index order by whichever worker
-///     stole it, and warm solves bypass the shared cache
-///     (SolveCache::SolveThrough) — so results remain independent of
-///     worker count and timing: the invariant of (1) holds with warm
-///     start on, at any thread count. Warm results match the cold run
-///     within the MVA solver tolerance; with warm_start off the output
-///     is bit-identical to the historical per-point cold behavior.
-///  3. **Memoized solves.** One SolveCache is threaded through every
+///  2. **Memoized solves.** One SolveCache is threaded through every
 ///     model solve of the sweep, so structurally identical overlap-MVA
 ///     fixed points (period-2 cycles, repeated calibration points,
 ///     symmetric concurrent jobs) are computed once. Each worker also
@@ -34,7 +21,7 @@
 ///     points it evaluates, so sweeps stop reallocating solver buffers
 ///     per point.
 ///
-/// When the grid yields fewer chunks than pool threads and points run
+/// When a run has fewer points than pool threads and points run
 /// several simulator repetitions, the otherwise-idle threads evaluate a
 /// point's independent repetitions as sub-tasks
 /// (RunSimulatedRepetition); the assembled result is byte-identical to
@@ -54,16 +41,6 @@
 #include "queueing/solve_cache.h"
 
 namespace mrperf {
-
-/// \brief Default points-per-chunk of Run/RunTasks when
-/// SweepOptions::chunk_points is 0: ~32 chunks across the grid, enough
-/// stealing granularity for skewed point costs while keeping
-/// warm-start chains long. A pure function of the point count alone —
-/// never the worker count — which is what makes the layout (and every
-/// warm-start chain) identical at any thread count. Exported because
-/// the fleet scatter layer reuses the identical layout to split a
-/// sweep across replicas (fleet/scatter.h).
-size_t DefaultSweepChunkPoints(size_t points);
 
 /// \brief Snapshot handed to SweepOptions::progress after each point.
 struct SweepProgress {
@@ -97,19 +74,6 @@ struct SweepOptions {
   /// serving layer passes its fan-in width so concurrent solves stop
   /// contending on one lock. Results are bit-identical either way.
   int cache_shards = 1;
-  /// Warm-start chaining across neighboring sweep points (see the file
-  /// comment's determinism argument): each point of a scheduling chunk
-  /// seeds its model's first A4 solve with the previous in-chunk
-  /// point's exported fixed point (ModelOptions::warm_start); a failed
-  /// point resets the chain. Results match the cold sweep within the
-  /// MVA solver tolerance and stay byte-identical at any worker count.
-  /// Default off: bit-identical to the historical cold behavior.
-  bool warm_start = false;
-  /// Points per contiguous scheduling chunk of Run/RunTasks; 0 picks
-  /// max(1, N/32). Deliberately a function of the point count alone —
-  /// never the worker count — so the chunk layout, and with it every
-  /// warm-start chain, is identical at any thread count.
-  size_t chunk_points = 0;
   /// Optional progress observer, invoked once per completed point of
   /// Run/RunTasks/RunModels with (points done, total, cache stats).
   /// Calls come from worker threads but are serialized (never
@@ -175,8 +139,6 @@ class SweepRunner {
 
   /// Model-only fan-out (capacity planning: no simulator repetitions).
   /// Results are in point order; the shared MVA cache still applies.
-  /// Submits one task per point — the chunked warm-start scheduling of
-  /// Run/RunTasks does not apply here.
   std::vector<Result<ModelResult>> RunModels(
       const std::vector<ExperimentPoint>& points);
 

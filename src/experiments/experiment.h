@@ -78,11 +78,9 @@ struct ExperimentResult {
   bool model_converged = false;
   int tree_depth = 0;
   /// A4 solver effort of the model run (ModelResult counters): damped
-  /// MVA sweeps executed across the outer loop, and the executed solves
-  /// split by how they started (cache hits run zero sweeps).
+  /// MVA sweeps executed across the outer loop, and the solves answered
+  /// by the shared cache (which run zero sweeps).
   int64_t mva_iterations = 0;
-  int mva_warm_solves = 0;
-  int mva_cold_solves = 0;
   int mva_cache_hits = 0;
 };
 

@@ -264,7 +264,7 @@ void FleetRouter::SubmitSweep(const JsonValue& root, const std::string& /*line*/
       gather->done(MakeSweepResponse(gather->id, {}));
       return;
     }
-    // Contiguous chunks (PR 8's layout) scatter across the ring by
+    // Contiguous chunks (DefaultSweepChunkPoints) scatter across the ring by
     // their first point's canonical key; every point of a chunk rides
     // the same preference order, so a chunk stays together on one
     // replica's pipelined connection until failover.

@@ -6,8 +6,6 @@
 #include <iterator>
 #include <utility>
 
-#include "engine/sweep_runner.h"
-
 namespace mrperf {
 namespace {
 
@@ -178,6 +176,10 @@ Result<SweepExpansion> ExpandSweepRequest(const JsonValue& root) {
     }
   }
   return expansion;
+}
+
+size_t DefaultSweepChunkPoints(size_t points) {
+  return std::max<size_t>(1, points / 32);
 }
 
 std::vector<ChunkRange> ScatterChunks(size_t points, size_t chunk_points) {

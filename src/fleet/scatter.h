@@ -22,9 +22,9 @@
 /// point and validates it through ParseServeRequest — the identical
 /// strict validation predictd applies — yielding the canonical key
 /// that places the point's chunk on the ring. Chunk ranges come from
-/// DefaultSweepChunkPoints, PR 8's chunk layout: a pure function of
-/// the point count, so the split is deterministic and byte-identity
-/// of the merged response is inherited from per-point determinism.
+/// DefaultSweepChunkPoints: a pure function of the point count, so the
+/// split is deterministic and byte-identity of the merged response is
+/// inherited from per-point determinism.
 ///
 /// Pure data transformation: no sockets, no threads. The router owns
 /// fan-out and gathering; tests drive this layer directly.
@@ -76,9 +76,16 @@ struct ChunkRange {
   size_t end = 0;
 };
 
+/// \brief Default chunk width of ScatterChunks: max(1, points/32), so a
+/// sweep splits into about 32 contiguous chunks, each placed on the
+/// ring by its first point's key. A pure function of the point count,
+/// never the replica count, so a sweep splits the same way on any
+/// fleet.
+size_t DefaultSweepChunkPoints(size_t points);
+
 /// \brief Splits `points` indices into contiguous chunks of
-/// `chunk_points` (0 = DefaultSweepChunkPoints, the sweep engine's
-/// layout). Deterministic: a pure function of the two arguments.
+/// `chunk_points` (0 = DefaultSweepChunkPoints). Deterministic: a pure
+/// function of the two arguments.
 std::vector<ChunkRange> ScatterChunks(size_t points, size_t chunk_points = 0);
 
 /// \brief One per-point replica response, classified.

@@ -88,32 +88,6 @@ struct ClassResponses {
   double net_inflation = 1.0;  // contention multiplier on shuffle transfers
 };
 
-/// Recovers the class-level residence rows from an expanded per-task
-/// solution: expansion copies each class row verbatim to every member,
-/// so the first member's row IS the class row, bit for bit. With an
-/// empty map the solution already has one row per class.
-void ExtractClassRows(const OverlapMvaSolution& mva,
-                      const std::vector<int>& task_group, size_t groups,
-                      FlatMatrix* out) {
-  const size_t K = mva.residence.empty() ? 0 : mva.residence[0].size();
-  out->ReshapeUninit(groups, K);
-  if (task_group.empty()) {
-    for (size_t g = 0; g < groups; ++g) {
-      double* row = out->Row(g);
-      for (size_t k = 0; k < K; ++k) row[k] = mva.residence[g][k];
-    }
-    return;
-  }
-  std::vector<char> seen(groups, 0);
-  for (size_t i = 0; i < task_group.size(); ++i) {
-    const size_t g = static_cast<size_t>(task_group[i]);
-    if (seen[g]) continue;
-    seen[g] = 1;
-    double* row = out->Row(g);
-    for (size_t k = 0; k < K; ++k) row[k] = mva.residence[i][k];
-  }
-}
-
 }  // namespace
 
 Result<ModelResult> SolveModel(const ModelInput& input,
@@ -145,8 +119,8 @@ Result<ModelResult> SolveModel(const ModelInput& input,
   // full validation stays at the public API entries.
   OverlapMvaOptions mva_opts = options.mva;
   mva_opts.assume_valid = true;
-  // Warm seeding is owned by the loop below (ModelOptions::warm_start /
-  // initial_guess), never by a raw passthrough pointer.
+  // Every A4 solve starts cold from the zero-contention point: a kernel
+  // seed in options.mva is ignored (SolveCache::SolveThrough rejects one).
   mva_opts.initial_residence = nullptr;
   // kScalar/kBlocked pin the per-task reference pipeline (dense θ, one
   // MVA row per task); kAuto/kGrouped run the group-compressed pipeline,
@@ -155,59 +129,11 @@ Result<ModelResult> SolveModel(const ModelInput& input,
       options.mva.kernel == MvaKernelPath::kAuto ||
       options.mva.kernel == MvaKernelPath::kGrouped;
 
-  // Warm-start carry: the previous A4 solve's converged residence at
-  // the granularity it was solved at (class rows on the grouped
-  // pipeline, task rows otherwise). Seeded from options.initial_guess
-  // when the pipeline tags match; refreshed after every solve. The
-  // solver drops a dimension-mismatched carry (wave-count or class-
-  // structure change), so a stale seed only ever costs a cold start.
-  const bool warm = options.warm_start;
-  FlatMatrix warm_carry;
-  bool have_carry = false;
-  bool carry_grouped = grouped_pipeline;
-  if (warm && options.initial_guess != nullptr &&
-      !options.initial_guess->empty() &&
-      options.initial_guess->grouped == grouped_pipeline) {
-    warm_carry = options.initial_guess->residence;
-    have_carry = true;
-  }
-
   ModelResult result;
-  auto export_warm_state = [&]() {
-    if (options.export_warm_start == nullptr) return;
-    if (warm && have_carry) {
-      options.export_warm_start->residence = std::move(warm_carry);
-      options.export_warm_start->grouped = carry_grouped;
-    } else {
-      options.export_warm_start->residence = FlatMatrix{};
-      options.export_warm_start->grouped = false;
-    }
-  };
   double prev_fj = -1.0;
   double prev_tri = -1.0;
   double prev2_fj = -1.0;  // two iterations back, for cycle detection
   ClassResponses prev_cls = cls;
-
-  // Model-local memo of recent iteration solves, keyed on the exact
-  // problem bytes (SolveCache::MakeKey). Discrete placement quantizes
-  // the timeline, so successive outer iterations often pose the exact
-  // same A4 problem (or alternate between the two poles of a period-2
-  // cycle). Warm solves bypass the shared cache, so without this memo
-  // every repeat would be re-solved — from the opposite pole's fixed
-  // point in the cycle case, the worst possible seed. An exact problem
-  // match instead reuses the earlier solution outright ("hits bypass
-  // warm-start"). The memo is local and sequential, so reuse stays a
-  // pure function of the model inputs — deterministic at any worker
-  // count. Only the warm path consults it; cold runs are bit-identical
-  // to the memo-free code.
-  struct IterationMemo {
-    std::string key;
-    OverlapMvaSolution mva;
-    FlatMatrix carry;
-    bool has_carry = false;
-  };
-  constexpr size_t kMemoCapacity = 4;  // a 2-cycle needs 2; headroom
-  std::vector<IterationMemo> memo;
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     result.iterations = iter;
@@ -238,24 +164,6 @@ Result<ModelResult> SolveModel(const ModelInput& input,
     double mean_beta = 0.0;
     OverlapMvaSolution mva;
     SolveThroughInfo solve_info;
-    bool memo_hit = false;
-    std::string memo_key;
-    // Exact-problem reuse from the model-local memo (warm mode only).
-    const auto memo_lookup = [&]() {
-      for (size_t m = memo.size(); m-- > 0;) {
-        if (memo[m].key != memo_key) continue;
-        mva = memo[m].mva;
-        if (memo[m].has_carry) {
-          warm_carry = memo[m].carry;
-          have_carry = true;
-        } else {
-          have_carry = false;
-        }
-        solve_info.hit = true;
-        memo_hit = true;
-        return;
-      }
-    };
     if (grouped_pipeline) {
       // Group-compressed path: θ as G×G blocks over the timeline's task
       // equivalence classes, the fixed point in O(G²K) per iteration,
@@ -265,44 +173,18 @@ Result<ModelResult> SolveModel(const ModelInput& input,
           ComputeGroupedOverlapFactors(timeline, options.overlap));
       mean_alpha = overlap.mean_alpha;
       mean_beta = overlap.mean_beta;
-      GroupedOverlapMvaProblem problem =
+      const GroupedOverlapMvaProblem problem =
           BuildGroupedMvaProblem(input, std::move(overlap));
-      if (warm) {
-        memo_key = SolveCache::MakeKey(problem, mva_opts);
-        memo_lookup();
-      }
-      if (!memo_hit) {
-        // The carry holds class-level rows; it can only seed a solve
-        // that actually runs at class level. A degenerate grid (every
-        // class a singleton) resolves to the per-task oracle, where
-        // class row g and task row g need not coincide — run cold there.
-        const bool class_level = ResolveGroupedMvaKernelPath(
-                                     mva_opts.kernel, problem.TotalTasks(),
-                                     problem.groups.size()) ==
-                                 MvaKernelPath::kGrouped;
-        OverlapMvaOptions iter_opts = mva_opts;
-        if (have_carry && class_level) {
-          iter_opts.initial_residence = &warm_carry;
-        }
-        if (options.mva_cache) {
-          MRPERF_ASSIGN_OR_RETURN(
-              mva, options.mva_cache->SolveThrough(problem, iter_opts,
-                                                   options.mva_scratch,
-                                                   &solve_info));
-        } else {
-          MRPERF_ASSIGN_OR_RETURN(
-              mva, SolveGroupedOverlapMva(problem, iter_opts,
-                                          options.mva_scratch));
-          solve_info.warm_started = mva.warm_started;
-          solve_info.iterations = mva.iterations;
-        }
-        if (warm && class_level) {
-          ExtractClassRows(mva, problem.task_group, problem.groups.size(),
-                           &warm_carry);
-          have_carry = true;
-        } else {
-          have_carry = false;
-        }
+      if (options.mva_cache) {
+        MRPERF_ASSIGN_OR_RETURN(
+            mva, options.mva_cache->SolveThrough(problem, mva_opts,
+                                                 options.mva_scratch,
+                                                 &solve_info));
+      } else {
+        MRPERF_ASSIGN_OR_RETURN(
+            mva, SolveGroupedOverlapMva(problem, mva_opts,
+                                        options.mva_scratch));
+        solve_info.iterations = mva.iterations;
       }
     } else {
       MRPERF_ASSIGN_OR_RETURN(
@@ -310,48 +192,21 @@ Result<ModelResult> SolveModel(const ModelInput& input,
           ComputeOverlapFactors(timeline, options.overlap));
       mean_alpha = overlap.mean_alpha;
       mean_beta = overlap.mean_beta;
-      OverlapMvaProblem problem = BuildMvaProblem(input, timeline, overlap);
-      if (warm) {
-        memo_key = SolveCache::MakeKey(problem, mva_opts);
-        memo_lookup();
+      const OverlapMvaProblem problem =
+          BuildMvaProblem(input, timeline, overlap);
+      if (options.mva_cache) {
+        MRPERF_ASSIGN_OR_RETURN(
+            mva, options.mva_cache->SolveThrough(problem, mva_opts,
+                                                 options.mva_scratch,
+                                                 &solve_info));
+      } else {
+        MRPERF_ASSIGN_OR_RETURN(
+            mva, SolveOverlapMva(problem, mva_opts, options.mva_scratch));
+        solve_info.iterations = mva.iterations;
       }
-      if (!memo_hit) {
-        OverlapMvaOptions iter_opts = mva_opts;
-        if (have_carry) iter_opts.initial_residence = &warm_carry;
-        if (options.mva_cache) {
-          MRPERF_ASSIGN_OR_RETURN(
-              mva, options.mva_cache->SolveThrough(problem, iter_opts,
-                                                   options.mva_scratch,
-                                                   &solve_info));
-        } else {
-          MRPERF_ASSIGN_OR_RETURN(
-              mva, SolveOverlapMva(problem, iter_opts, options.mva_scratch));
-          solve_info.warm_started = mva.warm_started;
-          solve_info.iterations = mva.iterations;
-        }
-        if (warm) {
-          warm_carry = SolutionResidenceMatrix(mva);
-          have_carry = true;
-        }
-      }
-    }
-    if (warm && !memo_hit) {
-      IterationMemo entry;
-      entry.key = std::move(memo_key);
-      entry.mva = mva;
-      entry.has_carry = have_carry;
-      if (have_carry) entry.carry = warm_carry;
-      if (memo.size() == kMemoCapacity) memo.erase(memo.begin());
-      memo.push_back(std::move(entry));
     }
     result.mva_iterations += solve_info.iterations;
-    if (solve_info.hit) {
-      ++result.mva_cache_hits;
-    } else if (solve_info.warm_started) {
-      ++result.mva_warm_solves;
-    } else {
-      ++result.mva_cold_solves;
-    }
+    if (solve_info.hit) ++result.mva_cache_hits;
 
     // New class response estimates (means over tasks of the class).
     double map_sum = 0.0, ss_sum = 0.0, mg_sum = 0.0;
@@ -444,7 +299,6 @@ Result<ModelResult> SolveModel(const ModelInput& input,
         close(cls.shuffle_sort, prev_cls.shuffle_sort) &&
         close(cls.merge, prev_cls.merge)) {
       result.converged = true;
-      export_warm_state();
       return result;
     }
     prev_cls = cls;
@@ -454,7 +308,6 @@ Result<ModelResult> SolveModel(const ModelInput& input,
       result.forkjoin_response = 0.5 * (fj_mean + prev_fj);
       result.tripathi_response = 0.5 * (tri_mean + prev_tri);
       result.converged = true;
-      export_warm_state();
       return result;
     }
     prev2_fj = prev_fj;
@@ -467,7 +320,6 @@ Result<ModelResult> SolveModel(const ModelInput& input,
         "modified MVA did not converge within max_iterations");
   }
   result.converged = false;
-  export_warm_state();
   return result;
 }
 

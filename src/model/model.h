@@ -37,24 +37,6 @@
 
 namespace mrperf {
 
-/// \brief Exported A4 solver state for warm-starting a later SolveModel
-/// call (a neighboring sweep point, the next what-if query).
-///
-/// Holds the converged residence of the final outer-loop MVA solve at
-/// the granularity it was solved at: G×K class rows for the grouped
-/// pipeline, T×K task rows for the per-task reference pipeline. A seed
-/// is applied only when the receiving solve runs the same pipeline and
-/// the dimensions still match — any mismatch falls back to the cold
-/// start, so a stale or foreign warm state can never change which fixed
-/// point is reached, only how fast.
-struct ModelWarmStart {
-  FlatMatrix residence;
-  /// True when `residence` holds group-level rows.
-  bool grouped = false;
-
-  bool empty() const { return residence.rows == 0; }
-};
-
 /// \brief Solver options for the modified MVA loop.
 struct ModelOptions {
   /// Convergence threshold on the mean job response (paper: 10⁻⁷).
@@ -87,24 +69,6 @@ struct ModelOptions {
   /// When false, a failure to converge returns Status::NotConverged
   /// instead of the best-effort estimate.
   bool allow_nonconverged = true;
-  /// Warm-start the A4 fixed points. Outer-loop iteration n+1 seeds its
-  /// MVA solve with iteration n's converged residence (dimension- and
-  /// pipeline-checked; a timeline structure change falls back cold), and
-  /// `initial_guess` seeds iteration 1 from a previous call's exported
-  /// state. Warm solves bypass `mva_cache` — see
-  /// SolveCache::SolveThrough for the determinism argument — and reach
-  /// the same fixed point within the MVA solver tolerance, so estimates
-  /// can differ from the cold run in the last bits. Default off: the
-  /// historical bit-exact behavior.
-  bool warm_start = false;
-  /// Optional seed for the first outer-loop iteration (not owned; must
-  /// outlive the call). Ignored unless `warm_start` is set; an empty or
-  /// mismatched state is a cold start.
-  const ModelWarmStart* initial_guess = nullptr;
-  /// When set (and `warm_start` is on), receives the final outer-loop
-  /// iteration's converged A4 state — the seed for a subsequent
-  /// SolveModel call on a nearby input.
-  ModelWarmStart* export_warm_start = nullptr;
 };
 
 /// \brief Full model output.
@@ -127,12 +91,9 @@ struct ModelResult {
   int iterations = 0;
   bool converged = false;
   /// A4 solver effort across the outer loop: cumulative damped MVA
-  /// sweeps executed, and the executed solves split by how they
-  /// started. Cache hits execute zero sweeps and count as neither warm
-  /// nor cold.
+  /// sweeps executed, and the solves answered by `mva_cache` (which
+  /// execute zero sweeps).
   int64_t mva_iterations = 0;
-  int mva_warm_solves = 0;
-  int mva_cold_solves = 0;
   int mva_cache_hits = 0;
   /// The final timeline (placement, intervals).
   Timeline timeline;

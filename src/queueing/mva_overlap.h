@@ -112,12 +112,10 @@ struct OverlapMvaOptions {
   /// outer-loop iterate, a neighboring sweep point's solution) cuts the
   /// iteration count by an order of magnitude; a mismatched shape is
   /// ignored (cold start, bit-identical to historical behavior).
-  /// Deliberately excluded from cache keys — a warm solve reaches the
-  /// same fixed point within tolerance but along a different trajectory,
-  /// so warm-started solutions must never be looked up from or inserted
-  /// into a shared cache (SolveCache::SolveThrough bypasses the cache
-  /// entirely when this is set; see its comment for the determinism
-  /// argument).
+  /// A kernel-level knob only: SolveModel always solves cold, and
+  /// SolveCache::SolveThrough rejects a seeded call (a warm solve
+  /// reaches the fixed point only within tolerance, along a different
+  /// trajectory, so it must never enter a shared cache).
   const FlatMatrix* initial_residence = nullptr;
 };
 

@@ -89,21 +89,16 @@ std::string SolveCache::MakeKey(const GroupedOverlapMvaProblem& problem,
 
 namespace {
 
-/// Drops a warm-start guess whose shape cannot seed an R×C solve, so
-/// the call degrades to a normal cached cold solve instead of an
-/// uncached one.
-void DropMismatchedGuess(OverlapMvaOptions* opts, size_t rows, size_t cols) {
-  if (opts->initial_residence != nullptr &&
-      (opts->initial_residence->rows != rows ||
-       opts->initial_residence->cols != cols)) {
-    opts->initial_residence = nullptr;
-  }
+/// The cache holds cold solves only (see SolveThrough in the header).
+Status RejectSeed(const OverlapMvaOptions& options) {
+  if (options.initial_residence == nullptr) return Status::OK();
+  return Status::InvalidArgument(
+      "SolveThrough solves cold; initial_residence must be null");
 }
 
-void FillInfo(SolveThroughInfo* info, bool hit, bool warm, int iterations) {
+void FillInfo(SolveThroughInfo* info, bool hit, int iterations) {
   if (info == nullptr) return;
   info->hit = hit;
-  info->warm_started = warm;
   info->iterations = iterations;
 }
 
@@ -112,6 +107,7 @@ void FillInfo(SolveThroughInfo* info, bool hit, bool warm, int iterations) {
 Result<OverlapMvaSolution> SolveCache::SolveThrough(
     const OverlapMvaProblem& problem, const OverlapMvaOptions& options,
     MvaKernelScratch* scratch, SolveThroughInfo* info) {
+  MRPERF_RETURN_NOT_OK(RejectSeed(options));
   // Validate once at entry; the hot loop below (hits, the miss solve)
   // never re-walks the O(T²) overlap matrix.
   if (!options.assume_valid) {
@@ -119,28 +115,16 @@ Result<OverlapMvaSolution> SolveCache::SolveThrough(
   }
   OverlapMvaOptions opts = options;
   opts.assume_valid = true;
-  DropMismatchedGuess(&opts, problem.tasks.size(), problem.centers.size());
-  if (opts.initial_residence != nullptr) {
-    // Warm bypass: no lookup, no insert (see the header's determinism
-    // argument — only cold canonical solves may populate the cache).
-    Result<OverlapMvaSolution> solved =
-        SolveOverlapMva(problem, opts, scratch);
-    if (solved.ok()) {
-      RecordSolve(solved->iterations);
-      FillInfo(info, false, solved->warm_started, solved->iterations);
-    }
-    return solved;
-  }
   const std::string key = MakeKey(problem, opts);
   if (std::optional<OverlapMvaSolution> hit = Lookup(key)) {
-    FillInfo(info, true, false, 0);
+    FillInfo(info, true, 0);
     return *std::move(hit);
   }
   Result<OverlapMvaSolution> solved = SolveOverlapMva(problem, opts, scratch);
   if (solved.ok()) {
     Insert(key, *solved);
     RecordSolve(solved->iterations);
-    FillInfo(info, false, false, solved->iterations);
+    FillInfo(info, false, solved->iterations);
   }
   return solved;
 }
@@ -148,6 +132,7 @@ Result<OverlapMvaSolution> SolveCache::SolveThrough(
 Result<OverlapMvaSolution> SolveCache::SolveThrough(
     const GroupedOverlapMvaProblem& problem, const OverlapMvaOptions& options,
     MvaKernelScratch* scratch, SolveThroughInfo* info) {
+  MRPERF_RETURN_NOT_OK(RejectSeed(options));
   if (!options.assume_valid) {
     MRPERF_RETURN_NOT_OK(problem.Validate());
   }
@@ -160,18 +145,9 @@ Result<OverlapMvaSolution> SolveCache::SolveThrough(
     // their hits stay bit-identical to dense recomputation.
     return SolveThrough(problem.Expand(), opts, scratch, info);
   }
-  DropMismatchedGuess(&opts, problem.groups.size(), problem.centers.size());
-  if (opts.initial_residence != nullptr) {
-    Result<OverlapMvaSolution> group_sol =
-        SolveGroupedOverlapMvaGroupLevel(problem, opts, scratch);
-    if (!group_sol.ok()) return group_sol;
-    RecordSolve(group_sol->iterations);
-    FillInfo(info, false, group_sol->warm_started, group_sol->iterations);
-    return ExpandGroupedMvaSolution(*group_sol, problem.task_group);
-  }
   const std::string key = MakeKey(problem, opts);
   if (std::optional<OverlapMvaSolution> hit = Lookup(key)) {
-    FillInfo(info, true, false, 0);
+    FillInfo(info, true, 0);
     return ExpandGroupedMvaSolution(*hit, problem.task_group);
   }
   Result<OverlapMvaSolution> group_sol =
@@ -179,7 +155,7 @@ Result<OverlapMvaSolution> SolveCache::SolveThrough(
   if (!group_sol.ok()) return group_sol;
   Insert(key, *group_sol);
   RecordSolve(group_sol->iterations);
-  FillInfo(info, false, false, group_sol->iterations);
+  FillInfo(info, false, group_sol->iterations);
   return ExpandGroupedMvaSolution(*group_sol, problem.task_group);
 }
 

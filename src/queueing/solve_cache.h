@@ -62,11 +62,11 @@ struct MvaCacheStats {
   /// Successful Recover() replays / entries restored across them.
   int64_t recoveries = 0;
   int64_t recovered_entries = 0;
-  /// Fixed-point solves SolveThrough actually executed (cache misses
-  /// plus warm-started bypass solves — hits run zero iterations and are
-  /// not counted) and the cumulative damped sweeps they performed.
-  /// Lifecycle gauges like the counters above; the denominator behind
-  /// every "iterations saved by warm-start / caching" number.
+  /// Fixed-point solves SolveThrough actually executed (one per
+  /// successful miss — hits run zero iterations and are not counted)
+  /// and the cumulative damped sweeps they performed. Lifecycle gauges
+  /// like the counters above; the denominator behind every "iterations
+  /// saved by caching" number.
   int64_t solves = 0;
   int64_t solve_iterations = 0;
 
@@ -82,9 +82,6 @@ struct MvaCacheStats {
 struct SolveThroughInfo {
   /// Served from the cache (zero fixed-point iterations executed).
   bool hit = false;
-  /// The executed solve was seeded from options.initial_residence (and
-  /// therefore bypassed the cache; see SolveThrough).
-  bool warm_started = false;
   /// Damped sweeps the call actually ran (0 on hits).
   int iterations = 0;
 };
@@ -165,19 +162,15 @@ class SolveCache {
   /// per-thread) is handed to the solver on a miss. Validates the
   /// problem ONCE at entry (unless options.assume_valid) — hits and the
   /// miss solve never re-validate. `info` (optional) receives the
-  /// per-call outcome (hit / warm / iterations executed).
+  /// per-call outcome (hit / iterations executed).
   ///
-  /// **Warm starts bypass the cache.** When options.initial_residence
-  /// is set (and its shape matches the solved system), the call solves
-  /// directly — no lookup, no insert. A warm solve converges to the
-  /// same fixed point only within solver tolerance, along a
-  /// trajectory determined by its seed; caching such a solution would
-  /// let whichever worker inserted first decide the bits every later
-  /// lookup sees, making results depend on timing and worker count.
-  /// Keeping the cache cold-canonical preserves the memo invariant: a
-  /// hit is bit-identical to a cold recomputation, always. A
-  /// shape-mismatched guess is dropped at entry, so that call is a
-  /// normal cached cold solve.
+  /// **Cold solves only.** A call with options.initial_residence set
+  /// returns InvalidArgument before any lookup. A seeded solve reaches
+  /// the fixed point only within solver tolerance, along a trajectory
+  /// its seed determines; caching it would let whichever worker
+  /// inserted first decide the bits every later lookup sees. Rejecting
+  /// seeds keeps the memo invariant: a hit is bit-identical to a cold
+  /// recomputation, always.
   Result<OverlapMvaSolution> SolveThrough(const OverlapMvaProblem& problem,
                                           const OverlapMvaOptions& options,
                                           MvaKernelScratch* scratch = nullptr,
@@ -186,9 +179,8 @@ class SolveCache {
   /// Grouped SolveThrough: stores/reuses the group-level solution under
   /// the compressed key and expands it through `problem.task_group` per
   /// call. When options.kernel resolves to a per-task reference path,
-  /// delegates to the dense SolveThrough on the expanded problem (a
-  /// group-level G×K warm guess cannot seed that T×K solve and is
-  /// dropped there). Warm starts bypass the cache exactly as above.
+  /// delegates to the dense SolveThrough on the expanded problem.
+  /// Seeded calls are rejected exactly as above.
   Result<OverlapMvaSolution> SolveThrough(
       const GroupedOverlapMvaProblem& problem,
       const OverlapMvaOptions& options, MvaKernelScratch* scratch = nullptr,

@@ -232,8 +232,7 @@ std::string FormatPrometheusMetrics(const ServeStatsSnapshot& s) {
   AppendCounterFamily(out, "predictd_cache_evictions_total",
                       "Solve-cache evictions.", s.cache.evictions);
   AppendCounterFamily(out, "predictd_cache_solves_total",
-                      "Fixed-point solves executed (misses and warm "
-                      "bypasses).",
+                      "Fixed-point solves executed (one per miss).",
                       s.cache.solves);
   AppendCounterFamily(out, "predictd_cache_solve_iterations_total",
                       "Damped-sweep iterations across executed solves.",

@@ -26,20 +26,17 @@ SweepOptions SweepOptionsFor(const PredictServiceOptions& options) {
   return sweep;
 }
 
+/// Cumulative cache stats: the window snapshot, which already carries
+/// every gauge (resident size, the checkpoint/recover lifecycle, solver
+/// effort), plus the window counters folded from closed windows. Only
+/// `folded`'s window counters are read.
 MvaCacheStats SumCacheStats(const MvaCacheStats& folded,
                             const MvaCacheStats& window) {
-  MvaCacheStats total;
-  total.hits = folded.hits + window.hits;
-  total.misses = folded.misses + window.misses;
-  total.insertions = folded.insertions + window.insertions;
-  total.evictions = folded.evictions + window.evictions;
-  // Gauges, not window counters: resident entries and the
-  // checkpoint/recover lifecycle are cumulative already.
-  total.size = window.size;
-  total.checkpoints = window.checkpoints;
-  total.checkpoint_entries = window.checkpoint_entries;
-  total.recoveries = window.recoveries;
-  total.recovered_entries = window.recovered_entries;
+  MvaCacheStats total = window;
+  total.hits += folded.hits;
+  total.misses += folded.misses;
+  total.insertions += folded.insertions;
+  total.evictions += folded.evictions;
   return total;
 }
 
@@ -542,10 +539,7 @@ ServeStatsSnapshot PredictService::Stats(bool reset_window) {
     snapshot.latency_p99_ms = overall.PercentileMs(99);
     snapshot.cache_window = window;
     snapshot.cache = SumCacheStats(cache_folded_, window);
-    if (reset_window) {
-      cache_folded_ = SumCacheStats(cache_folded_, window);
-      cache_folded_.size = 0;  // live size is never folded
-    }
+    if (reset_window) cache_folded_ = snapshot.cache;
   }
   // Outside every service lock: the hook reaches back into the owning
   // transport, which must be free to take its own locks.

@@ -4,7 +4,10 @@
 
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
+
+#include "engine/sweep_csv.h"
 
 namespace mrperf {
 namespace {
@@ -22,6 +25,13 @@ SweepGrid SmallGrid() {
   SweepGrid grid;
   grid.Nodes({2, 3}).InputGigabytes({0.25}).Jobs({1, 2});
   return grid;
+}
+
+std::string SweepCsv(const SweepOptions& opts, const SweepGrid& grid) {
+  SweepRunner runner(opts);
+  SweepReport report = runner.Run(grid);
+  EXPECT_TRUE(report.all_ok()) << report.first_error().ToString();
+  return FormatSweepCsv(report.values());
 }
 
 TEST(PointSeedTest, DeterministicAndDecorrelated) {
@@ -320,6 +330,50 @@ TEST(SweepRunnerTest, CacheHitsAccumulateAcrossRuns) {
     EXPECT_EQ(first.results[i]->forkjoin_sec,
               second.results[i]->forkjoin_sec);
   }
+}
+
+TEST(SweepRunnerTest, IdleWorkersRebalanceSkewedCostsDeterministically) {
+  // Adversarial skew: the first tasks are an order of magnitude heavier
+  // (more input, more jobs, more repetitions). Every point is its own
+  // pool task, so while the heavy heads run, idle workers take the light
+  // tail's points in index order — without changing any bytes.
+  std::vector<SweepRunner::Task> tasks;
+  for (int i = 0; i < 12; ++i) {
+    SweepRunner::Task task;
+    task.options = DefaultExperimentOptions();
+    const bool heavy = i < 3;
+    task.options.repetitions = heavy ? 3 : 1;
+    task.point.num_nodes = heavy ? 6 : 2;
+    task.point.input_bytes = static_cast<int64_t>(
+        (heavy ? 1.0 : 0.125) * static_cast<double>(kGiB));
+    task.point.num_jobs = heavy ? 3 : 1;
+    tasks.push_back(task);
+  }
+
+  const auto run = [&tasks](int threads) {
+    SweepOptions opts;
+    opts.num_threads = threads;
+    opts.experiment = DefaultExperimentOptions();
+    SweepRunner runner(opts);
+    SweepReport report = runner.RunTasks(tasks);
+    EXPECT_TRUE(report.all_ok()) << report.first_error().ToString();
+    return FormatSweepCsv(report.values());
+  };
+  EXPECT_EQ(run(8), run(1));
+}
+
+TEST(SweepRunnerTest, RepetitionFanOutMatchesSequentialEvaluation) {
+  // A run with fewer points than pool threads fans repetitions out as
+  // sub-tasks; the assembled medians must equal the sequential ones.
+  SweepGrid grid;
+  grid.Nodes({2}).InputGigabytes({0.25}).Jobs({1, 2});
+  SweepOptions serial_opts = FastSweepOptions(1);
+  serial_opts.experiment.repetitions = 3;
+  const std::string serial = SweepCsv(serial_opts, grid);
+
+  SweepOptions fan_opts = serial_opts;
+  fan_opts.num_threads = 8;  // 2 one-point tasks on 8 threads: fan-out
+  EXPECT_EQ(SweepCsv(fan_opts, grid), serial);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/sweep_runner.h"
 #include "serve/json.h"
 #include "serve/request.h"
 
@@ -135,7 +134,7 @@ TEST(ScatterChunksTest, MatchesTheSweepEnginesChunkLayout) {
     EXPECT_EQ(expected_begin, points);
   }
   EXPECT_TRUE(ScatterChunks(0).empty());
-  // Explicit width overrides the engine default.
+  // Explicit width overrides the default.
   const std::vector<ChunkRange> chunks = ScatterChunks(10, 4);
   ASSERT_EQ(chunks.size(), 3u);
   EXPECT_EQ(chunks[2].begin, 8u);

@@ -155,5 +155,32 @@ TEST(ModelKernelGoldenTest, SolveCacheDoesNotPerturbGroupedPredictions) {
   }
 }
 
+TEST(ModelKernelGoldenTest, ColdDefaultPredictionsArePinned) {
+  // The default pipeline (kAuto, no cache, every A4 solve cold) on two
+  // model-grid points: the predictions are perfbench/reference.txt's
+  // model_grid rows. Fork/Join and the solver effort are pinned
+  // exactly; Tripathi within 1e-9 relative, so an A5 quadrature change
+  // inside its own tolerance does not have to touch this test.
+  struct Golden {
+    ExperimentPoint point;
+    double forkjoin;
+    double tripathi;
+    int iterations;
+    int64_t mva_iterations;
+  };
+  const Golden goldens[] = {
+      {Point(4, 1.0, 1), 88.436642016035307, 98.906352220574789, 11, 385},
+      {Point(8, 1.0, 4), 91.451295299409381, 102.40700690879534, 11, 440},
+  };
+  for (const Golden& g : goldens) {
+    auto model = RunModelPrediction(g.point, DefaultExperimentOptions());
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    EXPECT_EQ(model->forkjoin_response, g.forkjoin);
+    EXPECT_NEAR(model->tripathi_response, g.tripathi, 1e-9 * g.tripathi);
+    EXPECT_EQ(model->iterations, g.iterations);
+    EXPECT_EQ(model->mva_iterations, g.mva_iterations);
+  }
+}
+
 }  // namespace
 }  // namespace mrperf

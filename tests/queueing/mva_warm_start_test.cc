@@ -1,10 +1,10 @@
-/// Warm-start property tests for the overlap-MVA solver stack: a
-/// warm-started solve must land on the cold fixed point (within the
-/// pinned 1e-8 tolerance) in fewer damped sweeps, a mismatched seed
-/// must be ignored bit-identically, and seeded SolveThrough calls must
-/// bypass the shared cache entirely (no lookups, no insertions) while
-/// still being accounted in the solves/solve_iterations lifecycle
-/// counters.
+/// Kernel-seed property tests for the overlap-MVA solver: a seeded
+/// solve must land on the cold fixed point (within the pinned 1e-8
+/// tolerance) in fewer damped sweeps, and a mismatched seed must be
+/// ignored bit-identically. The solve cache holds cold solves only: a
+/// seeded SolveThrough call is rejected without touching the cache,
+/// while a cold one is looked up, solved, inserted and accounted in
+/// the solves/solve_iterations lifecycle counters.
 
 #include <cmath>
 #include <string>
@@ -150,76 +150,61 @@ TEST(MvaWarmStartTest, GroupedWarmSolveMatchesColdWithinTolerance) {
   EXPECT_LT(warm->iterations, cold->iterations);
 }
 
-TEST(MvaWarmStartTest, SeededSolveThroughBypassesTheCache) {
+TEST(MvaWarmStartTest, SeededSolveThroughIsRejectedAndColdSolvesAreCached) {
   MvaSolveCache cache(16);
   const OverlapMvaProblem p = BuildProblem(4, 0.5);
-  OverlapMvaOptions opts;
+  const OverlapMvaOptions opts;
 
   auto cold = SolveOverlapMva(p, opts);
   ASSERT_TRUE(cold.ok());
   const FlatMatrix seed = SolutionResidenceMatrix(*cold);
-  OverlapMvaOptions warm_opts = opts;
-  warm_opts.initial_residence = &seed;
+  OverlapMvaOptions seeded = opts;
+  seeded.initial_residence = &seed;
 
-  SolveThroughInfo info;
-  auto warm = cache.SolveThrough(p, warm_opts, nullptr, &info);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(info.warm_started);
-  EXPECT_FALSE(info.hit);
-  EXPECT_GT(info.iterations, 0);
-
-  // No cache traffic at all: the warm result is trajectory-dependent,
-  // so it must be neither looked up nor inserted.
+  // A seeded call is refused before any cache traffic or solve, on both
+  // the per-task and the grouped entry points.
+  EXPECT_EQ(cache.SolveThrough(p, seeded).status().code(),
+            StatusCode::kInvalidArgument);
+  OverlapMvaOptions seeded_grouped = seeded;
+  seeded_grouped.kernel = MvaKernelPath::kGrouped;
+  EXPECT_EQ(cache.SolveThrough(BuildGroupedProblem(3, 4, 0.6), seeded_grouped)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   MvaCacheStats stats = cache.stats();
   EXPECT_EQ(stats.lookups(), 0);
   EXPECT_EQ(stats.insertions, 0);
   EXPECT_EQ(stats.size, 0);
-  // ... but the executed solve is still accounted.
-  EXPECT_EQ(stats.solves, 1);
-  EXPECT_EQ(stats.solve_iterations, info.iterations);
+  EXPECT_EQ(stats.solves, 0);
+  EXPECT_EQ(stats.solve_iterations, 0);
 
-  // A cold solve-through of the same problem misses, solves, inserts.
-  SolveThroughInfo cold_info;
-  auto through = cache.SolveThrough(p, opts, nullptr, &cold_info);
-  ASSERT_TRUE(through.ok());
-  EXPECT_FALSE(cold_info.hit);
-  EXPECT_FALSE(cold_info.warm_started);
+  // A cold call misses, solves and inserts; the solve is accounted.
+  SolveThroughInfo miss_info;
+  auto miss = cache.SolveThrough(p, opts, nullptr, &miss_info);
+  ASSERT_TRUE(miss.ok());
+  EXPECT_FALSE(miss_info.hit);
+  EXPECT_EQ(miss_info.iterations, cold->iterations);
+  EXPECT_EQ(miss->response, cold->response);
   stats = cache.stats();
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.insertions, 1);
-  EXPECT_EQ(stats.solves, 2);
-  EXPECT_EQ(stats.solve_iterations,
-            info.iterations + cold_info.iterations);
+  EXPECT_EQ(stats.size, 1);
+  EXPECT_EQ(stats.solves, 1);
+  EXPECT_EQ(stats.solve_iterations, miss_info.iterations);
 
-  // And a repeat is a pure hit: zero additional executed iterations.
+  // A repeat is a pure hit: zero executed iterations, and the solve
+  // accounting is unchanged.
   SolveThroughInfo hit_info;
   auto hit = cache.SolveThrough(p, opts, nullptr, &hit_info);
   ASSERT_TRUE(hit.ok());
   EXPECT_TRUE(hit_info.hit);
   EXPECT_EQ(hit_info.iterations, 0);
+  EXPECT_EQ(hit->response, cold->response);
   stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.solves, 2);  // unchanged by the hit
-}
-
-TEST(MvaWarmStartTest, SeededSolveThroughDropsAMismatchedSeed) {
-  MvaSolveCache cache(16);
-  const OverlapMvaProblem p = BuildProblem(4, 0.5);
-  FlatMatrix wrong;
-  wrong.Reshape(1, 1);
-  OverlapMvaOptions warm_opts;
-  warm_opts.initial_residence = &wrong;
-
-  // The mismatched seed is dropped before the cache decision, so this
-  // call takes the normal cold path: lookup (miss), solve, insert.
-  SolveThroughInfo info;
-  auto sol = cache.SolveThrough(p, warm_opts, nullptr, &info);
-  ASSERT_TRUE(sol.ok());
-  EXPECT_FALSE(info.warm_started);
-  EXPECT_FALSE(info.hit);
-  const MvaCacheStats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.insertions, 1);
+  EXPECT_EQ(stats.solves, 1);
+  EXPECT_EQ(stats.solve_iterations, miss_info.iterations);
 }
 
 }  // namespace

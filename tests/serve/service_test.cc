@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "serve/json.h"
+#include "serve/metrics.h"
 
 namespace mrperf {
 namespace {
@@ -233,6 +234,38 @@ TEST(PredictServiceTest, StatsRequestReportsAndResetsCacheWindow) {
   ASSERT_NE(stats->Find("cache"), nullptr);
   EXPECT_EQ(stats->Find("cache")->Find("hits")->number_value(),
             static_cast<double>(before.cache.hits));
+}
+
+TEST(PredictServiceTest, SolverEffortGaugesSurviveWindowReset) {
+  PredictServiceOptions options;
+  options.num_threads = 1;
+  PredictService service(options);
+  service.Submit(RequestLine("a", 2)).get();
+  service.Submit(RequestLine("b", 3)).get();
+
+  // One worker, cold solves only: every A4 miss is one executed solve.
+  const auto expect_solves_match_misses = [&service](bool reset_window) {
+    const std::string line = std::string(R"({"kind":"stats","reset_window":)") +
+                             (reset_window ? "true}" : "false}");
+    Result<JsonValue> parsed = ParseJson(service.Submit(line).get());
+    ASSERT_TRUE(parsed.ok());
+    const JsonValue* cache = parsed->Find("stats")->Find("cache");
+    ASSERT_NE(cache, nullptr);
+    const double misses = cache->Find("misses")->number_value();
+    const double solves = cache->Find("solves")->number_value();
+    EXPECT_GT(misses, 0.0);
+    EXPECT_EQ(solves, misses);
+    EXPECT_GT(cache->Find("solve_iterations")->number_value(), 0.0);
+
+    const std::string metrics = FormatPrometheusMetrics(service.Stats());
+    EXPECT_NE(metrics.find("\npredictd_cache_solves_total " +
+                           std::to_string(static_cast<int64_t>(solves)) +
+                           "\n"),
+              std::string::npos)
+        << metrics;
+  };
+  expect_solves_match_misses(/*reset_window=*/true);
+  expect_solves_match_misses(/*reset_window=*/false);
 }
 
 TEST(PredictServiceTest, CheckpointOnDrainWarmsTheNextBoot) {

@@ -187,7 +187,7 @@ TEST(FormatServeStatsJsonTest, ReportsProtocolVersionAndCacheLifecycle) {
   EXPECT_EQ(cache->Find("recoveries")->number_value(), 1.0);
   EXPECT_EQ(cache->Find("recovered_entries")->number_value(), 7.0);
   // Executed-solver-effort gauges: cumulative fixed-point solves run on
-  // misses (and warm bypass solves) plus their damped-sweep total.
+  // misses plus their damped-sweep total.
   EXPECT_EQ(cache->Find("solves")->number_value(), 11.0);
   EXPECT_EQ(cache->Find("solve_iterations")->number_value(), 341.0);
   EXPECT_EQ(cache->Find("hit_rate")->number_value(), 0.75);
