@@ -25,12 +25,12 @@
 ///     admitted request must still receive its response before the child
 ///     exits 0.
 ///  5. **Shard-spread gate.** In-process: 8 threads hammer hot keys of a
-///     prewarmed single-mutex MvaSolveCache and a 16-shard
-///     ShardedSolveCache (best-of-3 each). Both timings are report-only
-///     JSON columns (a wall-clock comparison flips on a loaded runner);
-///     the gate reads the sharded cache's per-shard counters: the hot
-///     keys must spread over more than one shard, and the per-shard hits
-///     must sum to every lookup made.
+///     prewarmed 1-shard (single-mutex) SolveCache and a 16-shard one
+///     (best-of-3 each). Both timings are report-only JSON columns (a
+///     wall-clock comparison flips on a loaded runner); the gate reads
+///     the sharded cache's per-shard counters: the hot keys must spread
+///     over more than one shard, and the per-shard hits must sum to
+///     every lookup made.
 ///  6. **Warm-restart gate.** A fresh predictd runs with --cache-file,
 ///     serves distinct model-only predicts, and is SIGTERMed (writing a
 ///     checkpoint on drain). A second predictd recovering that file must
@@ -42,12 +42,15 @@
 ///     bursts on top: every response ordered, served on the fixed loop
 ///     budget (event_loop_threads in /stats must not grow).
 ///  8. **QoS gate.** Bulk clients saturate the queue with distinct
-///     evaluations while an interactive client interleaves requests:
-///     server-side interactive p99 must beat bulk p99. Then requests
-///     with deadline_ms=1 and keys no earlier phase answered, queued
-///     behind a parked backlog, must each get a structured answer —
-///     deadline_exceeded is never silently dropped and the stats counter
-///     matches the responses observed.
+///     evaluations while an interactive client sends requests one at a
+///     time: its last answer must arrive while bulk answers are still
+///     outstanding, counted as the bulk clients read them, so arrival
+///     order decides and no clock reading does. Both server-side p99s
+///     are report-only JSON columns. Then requests with deadline_ms=1
+///     and keys no earlier phase answered, queued behind a parked
+///     backlog, must each get a structured answer — deadline_exceeded
+///     is never silently dropped and the stats counter matches the
+///     responses observed.
 ///  9. **Metrics gate.** GET /metrics over the same port must parse as
 ///     valid Prometheus text exposition (ValidatePrometheusText) and
 ///     carry the per-priority latency histogram and the response-cache
@@ -68,6 +71,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -82,8 +86,7 @@
 #include "engine/sweep_runner.h"
 #include "figure_common.h"
 #include "gate_table.h"
-#include "queueing/mva_cache.h"
-#include "queueing/sharded_solve_cache.h"
+#include "queueing/solve_cache.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/metrics.h"
@@ -685,8 +688,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 64; ++i) {
       keys.push_back("contention-hot-key-" + std::to_string(i));
     }
-    MvaSolveCache single_cache(4096);
-    ShardedSolveCache sharded_cache(16, 4096);
+    SolveCache single_cache(/*shards=*/1, /*max_entries=*/4096);
+    SolveCache sharded_cache(/*shards=*/16, /*max_entries=*/4096);
     for (const std::string& key : keys) {
       single_cache.Insert(key, payload);
       sharded_cache.Insert(key, payload);
@@ -733,8 +736,7 @@ int main(int argc, char** argv) {
   double recovered_entries = 0.0;
   bool warm_byte_identical = false;
   gates.Run("warm restart", [&]() -> Status {
-    const std::vector<std::string> cache_args = {
-        "--cache-shards=8", "--cache-file=" + cache_file};
+    const std::vector<std::string> cache_args = {"--cache-file=" + cache_file};
     // First life: serve distinct model-only predicts, then drain — the
     // drain writes the checkpoint.
     std::vector<std::string> warm_requests;
@@ -830,6 +832,7 @@ int main(int argc, char** argv) {
   double c10k_rps = 0.0;
   double bulk_p99 = 0.0;
   double interactive_p99 = 0.0;
+  int bulk_outstanding = 0;
   int deadline_hits = 0;
   bool metrics_valid = false;
 
@@ -920,12 +923,19 @@ int main(int argc, char** argv) {
     return Status::OK();
   });
 
-  // ---- Phase 8a: interactive p99 beats bulk p99 under saturation ------
+  // ---- Phase 8a: interactive answers overtake queued bulk work --------
+  // The p99s are report-only: a wall-clock comparison flips on a loaded
+  // runner. The gate reads arrival order instead. Without priority the
+  // interactive requests queue behind every bulk request admitted
+  // before them, so the last interactive answer comes after the bulk
+  // backlog drained.
   gates.Run("qos priority", [&]() -> Status {
     MRPERF_RETURN_NOT_OK(Running(qos_child));
     constexpr int kBulkClients = 4;
     constexpr int kBulkPerClient = 12;
+    constexpr int kBulkTotal = kBulkClients * kBulkPerClient;
     constexpr int kInteractive = 8;
+    std::atomic<int> bulk_read{0};
     std::vector<std::thread> bulk_clients;
     std::vector<int> bulk_ok(kBulkClients, 0);
     for (int c = 0; c < kBulkClients; ++c) {
@@ -942,10 +952,9 @@ int main(int argc, char** argv) {
         }
         for (int i = 0; i < kBulkPerClient; ++i) {
           Result<std::string> response = client.ReadLine();
-          if (!response.ok() ||
-              response->find("\"ok\": true") == std::string::npos) {
-            return;
-          }
+          if (!response.ok()) return;
+          bulk_read.fetch_add(1);
+          if (response->find("\"ok\": true") == std::string::npos) return;
           ++bulk_ok[static_cast<size_t>(c)];
         }
       });
@@ -965,28 +974,27 @@ int main(int argc, char** argv) {
           ++interactive_ok;
         }
       }
+      bulk_outstanding = kBulkTotal - bulk_read.load();
     }
     for (std::thread& t : bulk_clients) t.join();
     int bulk_answered = 0;
     for (int ok_count : bulk_ok) bulk_answered += ok_count;
-    if (bulk_answered != kBulkClients * kBulkPerClient ||
-        interactive_ok != kInteractive) {
+    if (bulk_answered != kBulkTotal || interactive_ok != kInteractive) {
       return bench::GateFailure("%d/%d bulk, %d/%d interactive responses",
-                                bulk_answered, kBulkClients * kBulkPerClient,
-                                interactive_ok, kInteractive);
+                                bulk_answered, kBulkTotal, interactive_ok,
+                                kInteractive);
     }
     MRPERF_ASSIGN_OR_RETURN(const std::string snapshot, call_qos_stats());
     bulk_p99 = PriorityLatencyField(snapshot, "bulk", "p99");
     interactive_p99 = PriorityLatencyField(snapshot, "interactive", "p99");
     std::printf(
-        "qos: saturated single worker -> bulk p99 %.1f ms, interactive "
-        "p99 %.1f ms\n",
-        bulk_p99, interactive_p99);
-    if (!(interactive_p99 > 0.0) || !(bulk_p99 > 0.0) ||
-        !(interactive_p99 < bulk_p99)) {
+        "qos: saturated single worker -> last interactive answer with "
+        "%d/%d bulk answers outstanding; bulk p99 %.1f ms, interactive "
+        "p99 %.1f ms (report only)\n",
+        bulk_outstanding, kBulkTotal, bulk_p99, interactive_p99);
+    if (bulk_outstanding <= 0) {
       return bench::GateFailure(
-          "interactive p99 %.1f ms not below bulk p99 %.1f ms",
-          interactive_p99, bulk_p99);
+          "every bulk answer arrived before the last interactive one");
     }
     return Status::OK();
   });
@@ -1151,6 +1159,7 @@ int main(int argc, char** argv) {
     AppendJsonDouble(out, bulk_p99);
     out += ", \"interactive_p99_ms\": ";
     AppendJsonDouble(out, interactive_p99);
+    out += ", \"bulk_outstanding\": " + std::to_string(bulk_outstanding);
     out += ", \"deadline_requests\": " + std::to_string(kDeadlineRequests) +
            ", \"deadline_exceeded\": " + std::to_string(deadline_hits) +
            ", \"metrics_valid\": ";

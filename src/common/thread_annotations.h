@@ -13,7 +13,7 @@
 /// other compilers the annotations expand to nothing and the wrappers
 /// are zero-cost veneers over the std primitives.
 ///
-/// Usage pattern (see mva_cache.h for a complete example):
+/// Usage pattern (see solve_cache.h for a complete example):
 ///
 /// \code{.cc}
 ///   class Counter {

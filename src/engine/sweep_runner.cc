@@ -53,6 +53,15 @@ auto SubmitEachAndJoin(ThreadPool& pool, size_t count,
   return results;
 }
 
+/// `options` with num_threads resolved to the pool width: 0 (or less)
+/// selects ThreadPool::DefaultThreadCount().
+SweepOptions WithResolvedThreads(SweepOptions options) {
+  if (options.num_threads <= 0) {
+    options.num_threads = ThreadPool::DefaultThreadCount();
+  }
+  return options;
+}
+
 /// Evaluates one point, fanning its independent simulator repetitions
 /// out to `pool` when allowed. The fanned path computes exactly the
 /// values of RunExperiment's sequential loop (seed = base_seed +
@@ -174,18 +183,16 @@ uint64_t PointSeed(uint64_t base_seed, size_t point_index) {
 }
 
 SweepRunner::SweepRunner(SweepOptions options)
-    : options_(std::move(options)),
-      cache_(MakeSolveCache(options_.cache_shards,
-                            options_.cache_max_entries)),
-      pool_(options_.num_threads > 0 ? options_.num_threads
-                                     : ThreadPool::DefaultThreadCount()) {}
+    : options_(WithResolvedThreads(std::move(options))),
+      cache_(options_.num_threads, options_.cache_max_entries),
+      pool_(options_.num_threads) {}
 
 ExperimentOptions SweepRunner::PointOptions(size_t index) {
   ExperimentOptions opts = options_.experiment;
   if (options_.derive_point_seeds) {
     opts.base_seed = PointSeed(options_.experiment.base_seed, index);
   }
-  opts.model.mva_cache = options_.use_mva_cache ? cache_.get() : nullptr;
+  opts.model.mva_cache = &cache_;
   return opts;
 }
 
@@ -209,7 +216,7 @@ SweepReport SweepRunner::Run(const SweepGrid& grid) {
 SweepReport SweepRunner::RunTasks(const std::vector<Task>& tasks) {
   const auto start = SteadyClock::now();
   const size_t n = tasks.size();
-  ProgressReporter reporter(options_.progress, n, *cache_);
+  ProgressReporter reporter(options_.progress, n, cache_);
   // Runs with fewer points than pool threads fan each point's simulator
   // repetitions out as sub-tasks: the threads no point occupies run
   // them, and results are byte-identical either way.
@@ -223,7 +230,7 @@ SweepReport SweepRunner::RunTasks(const std::vector<Task>& tasks) {
     if (tasks[i].derive_seed) {
       opts.base_seed = PointSeed(tasks[i].options.base_seed, i);
     }
-    opts.model.mva_cache = options_.use_mva_cache ? cache_.get() : nullptr;
+    opts.model.mva_cache = &cache_;
     return [point, opts, fan_repetitions, &reporter, &pool = pool_]() mutable {
       // Resolved on the worker thread: each worker reuses one kernel
       // scratch across every point it evaluates (and across sweeps).
@@ -236,13 +243,13 @@ SweepReport SweepRunner::RunTasks(const std::vector<Task>& tasks) {
   });
   report.wall_seconds = SecondsSince(start);
   report.threads_used = pool_.thread_count();
-  report.cache_stats = cache_->stats();
+  report.cache_stats = cache_.stats();
   return report;
 }
 
 std::vector<Result<ModelResult>> SweepRunner::RunModels(
     const std::vector<ExperimentPoint>& points) {
-  ProgressReporter reporter(options_.progress, points.size(), *cache_);
+  ProgressReporter reporter(options_.progress, points.size(), cache_);
   return SubmitEachAndJoin(pool_, points.size(), [&](size_t i) {
     const ExperimentPoint point = points[i];
     ExperimentOptions opts = PointOptions(i);

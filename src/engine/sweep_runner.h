@@ -16,10 +16,11 @@
 ///  2. **Memoized solves.** One SolveCache is threaded through every
 ///     model solve of the sweep, so structurally identical overlap-MVA
 ///     fixed points (period-2 cycles, repeated calibration points,
-///     symmetric concurrent jobs) are computed once. Each worker also
-///     reuses a thread-local kernel scratch (mva_kernel.h) across all
-///     points it evaluates, so sweeps stop reallocating solver buffers
-///     per point.
+///     symmetric concurrent jobs) are computed once. Only pool workers
+///     solve through it, so its lock shards follow the pool width. Each
+///     worker also reuses a thread-local kernel scratch (mva_kernel.h)
+///     across all points it evaluates, so sweeps stop reallocating
+///     solver buffers per point.
 ///
 /// When a run has fewer points than pool threads and points run
 /// several simulator repetitions, the otherwise-idle threads evaluate a
@@ -31,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -66,14 +66,10 @@ struct SweepOptions {
   /// the paper's calibration was fit against one measurement stream.
   /// Either setting is deterministic and thread-count independent.
   bool derive_point_seeds = true;
-  /// Share one overlap-MVA memo cache across all points of a sweep.
-  bool use_mva_cache = true;
+  /// Resident-entry cap of the solve cache shared by every point. Its
+  /// lock shards follow the pool: the thread count rounded up to a
+  /// power of two (see SolveCache).
   int64_t cache_max_entries = 4096;
-  /// Lock shards for the shared cache (MakeSolveCache): 1 selects the
-  /// single-mutex MvaSolveCache — right for batch sweeps — while the
-  /// serving layer passes its fan-in width so concurrent solves stop
-  /// contending on one lock. Results are bit-identical either way.
-  int cache_shards = 1;
   /// Optional progress observer, invoked once per completed point of
   /// Run/RunTasks/RunModels with (points done, total, cache stats).
   /// Calls come from worker threads but are serialized (never
@@ -143,19 +139,19 @@ class SweepRunner {
       const std::vector<ExperimentPoint>& points);
 
   int thread_count() const { return pool_.thread_count(); }
-  MvaCacheStats cache_stats() const { return cache_->stats(); }
+  MvaCacheStats cache_stats() const { return cache_.stats(); }
 
   /// Atomically snapshots and resets the shared cache's counters
   /// (entries stay resident) so a long-lived consumer — the serving
   /// layer — can report per-window hit rates. See
   /// SolveCache::ResetStats.
-  MvaCacheStats ResetCacheStats() { return cache_->ResetStats(); }
+  MvaCacheStats ResetCacheStats() { return cache_.ResetStats(); }
 
-  /// The shared solve cache (built by MakeSolveCache from
-  /// SweepOptions::cache_shards / cache_max_entries). The serving layer
-  /// uses this for the checkpoint/recover lifecycle.
-  SolveCache& cache() { return *cache_; }
-  const SolveCache& cache() const { return *cache_; }
+  /// The shared solve cache: one lock shard per pool thread (rounded up
+  /// to a power of two), SweepOptions::cache_max_entries in total. The
+  /// serving layer uses this for the checkpoint/recover lifecycle.
+  SolveCache& cache() { return cache_; }
+  const SolveCache& cache() const { return cache_; }
 
   /// Shuts the worker pool down: queued evaluations drain, then any
   /// later Run*/RunTasks throws std::runtime_error from the pool's
@@ -173,8 +169,11 @@ class SweepRunner {
   /// invocation (runners are externally synchronized).
   class ProgressReporter;
 
+  /// `num_threads` is resolved to the pool width at construction.
   SweepOptions options_;
-  std::unique_ptr<SolveCache> cache_;
+  /// Declared before the pool, so the pool drains its queued
+  /// evaluations before the cache they solve through is destroyed.
+  SolveCache cache_;
   ThreadPool pool_;
 };
 

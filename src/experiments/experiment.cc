@@ -179,7 +179,6 @@ Result<ExperimentResult> AssembleExperimentResult(
   out.model_converged = model.converged;
   out.tree_depth = model.tree_depth;
   out.mva_iterations = model.mva_iterations;
-  out.mva_cache_hits = model.mva_cache_hits;
   if (rep_means.empty()) {
     // No measurement to compare against: the errors are undefined, and
     // the serializers' non-finite rule turns them into JSON null.

@@ -77,11 +77,9 @@ struct ExperimentResult {
   int model_iterations = 0;
   bool model_converged = false;
   int tree_depth = 0;
-  /// A4 solver effort of the model run (ModelResult counters): damped
-  /// MVA sweeps executed across the outer loop, and the solves answered
-  /// by the shared cache (which run zero sweeps).
+  /// A4 solver effort of the model run (ModelResult::mva_iterations):
+  /// damped MVA sweeps executed across the outer loop.
   int64_t mva_iterations = 0;
-  int mva_cache_hits = 0;
 };
 
 /// \brief Default options with the paper's WordCount calibration.

@@ -206,7 +206,6 @@ Result<ModelResult> SolveModel(const ModelInput& input,
       }
     }
     result.mva_iterations += solve_info.iterations;
-    if (solve_info.hit) ++result.mva_cache_hits;
 
     // New class response estimates (means over tasks of the class).
     double map_sum = 0.0, ss_sum = 0.0, mg_sum = 0.0;

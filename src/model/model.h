@@ -91,10 +91,8 @@ struct ModelResult {
   int iterations = 0;
   bool converged = false;
   /// A4 solver effort across the outer loop: cumulative damped MVA
-  /// sweeps executed, and the solves answered by `mva_cache` (which
-  /// execute zero sweeps).
+  /// sweeps executed (solves answered by `mva_cache` execute none).
   int64_t mva_iterations = 0;
-  int mva_cache_hits = 0;
   /// The final timeline (placement, intervals).
   Timeline timeline;
 };

@@ -32,7 +32,7 @@
 /// into one `count·θ·q` multiply, which reorders floating point: it
 /// matches the per-task reference within solver tolerance (and is
 /// bit-identical when every class is a singleton, where the weighted
-/// matrix degenerates to θ itself). MvaSolveCache therefore keys
+/// matrix degenerates to θ itself). SolveCache therefore keys
 /// grouped solves separately from per-task solves.
 
 #pragma once

@@ -96,12 +96,12 @@ struct OverlapMvaOptions {
   /// solver tolerance (bit-identical when every class is a singleton).
   /// kAuto picks grouped when a grouped problem actually compresses,
   /// else blocked for large task counts. Deliberately excluded from
-  /// MvaSolveCache keys; grouped solves are keyed separately by their
+  /// SolveCache keys; grouped solves are keyed separately by their
   /// compressed representation.
   MvaKernelPath kernel = MvaKernelPath::kAuto;
   /// Skip the O(T²) / O(G²) problem validation: the caller guarantees a
   /// problem valid by construction (model.cc's BuildMvaProblem, or a
-  /// problem already validated at an API entry point — MvaSolveCache
+  /// problem already validated at an API entry point — SolveCache
   /// validates once per SolveThrough and never re-validates on hits or
   /// the miss solve). Never affects results; not part of cache keys.
   bool assume_valid = false;
@@ -163,7 +163,7 @@ Result<OverlapMvaSolution> SolveGroupedOverlapMva(
     const OverlapMvaOptions& options = {}, MvaKernelScratch* scratch = nullptr);
 
 /// \brief Group-level solve: one residence/response row per class, no
-/// expansion. Always runs the grouped kernel — used by MvaSolveCache to
+/// expansion. Always runs the grouped kernel — used by SolveCache to
 /// store solutions at G rows instead of T.
 Result<OverlapMvaSolution> SolveGroupedOverlapMvaGroupLevel(
     const GroupedOverlapMvaProblem& problem,

@@ -1,5 +1,7 @@
 #include "queueing/solve_cache.h"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -43,7 +45,47 @@ void AppendKeyPrefix(std::string* key, const OverlapMvaOptions& options,
   }
 }
 
+/// `shards` rounded up to a power of two, but no more than the largest
+/// power of two <= `max_entries`.
+size_t ShardCount(int shards, int64_t max_entries) {
+  int64_t count = 1;
+  while (count < shards && count * 2 <= max_entries) count *= 2;
+  return static_cast<size_t>(count);
+}
+
+/// SplitMix64 finisher. std::hash<std::string> is a good byte hash but
+/// libstdc++ gives no guarantee about its low bits; the finisher
+/// redistributes the full hash so masking with (shards - 1) draws on
+/// every input bit.
+uint64_t MixHash(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  x ^= x >> 31;
+  return x;
+}
+
+/// Adds a shard's window counters and resident size into `total`.
+void AddShardCounters(const MvaCacheStats& shard, MvaCacheStats* total) {
+  total->hits += shard.hits;
+  total->misses += shard.misses;
+  total->insertions += shard.insertions;
+  total->evictions += shard.evictions;
+  total->size += shard.size;
+}
+
 }  // namespace
+
+SolveCache::SolveCache(int shards, int64_t max_entries)
+    : shards_(ShardCount(shards, max_entries)) {
+  const int64_t total = std::max<int64_t>(1, max_entries);
+  const int64_t n = static_cast<int64_t>(shards_.size());
+  for (int64_t i = 0; i < n; ++i) {
+    shards_[static_cast<size_t>(i)].max_entries =
+        total / n + (i < total % n ? 1 : 0);
+  }
+}
 
 std::string SolveCache::MakeKey(const OverlapMvaProblem& problem,
                                 const OverlapMvaOptions& options) {
@@ -96,10 +138,8 @@ Status RejectSeed(const OverlapMvaOptions& options) {
       "SolveThrough solves cold; initial_residence must be null");
 }
 
-void FillInfo(SolveThroughInfo* info, bool hit, int iterations) {
-  if (info == nullptr) return;
-  info->hit = hit;
-  info->iterations = iterations;
+void FillInfo(SolveThroughInfo* info, int iterations) {
+  if (info != nullptr) info->iterations = iterations;
 }
 
 }  // namespace
@@ -117,14 +157,14 @@ Result<OverlapMvaSolution> SolveCache::SolveThrough(
   opts.assume_valid = true;
   const std::string key = MakeKey(problem, opts);
   if (std::optional<OverlapMvaSolution> hit = Lookup(key)) {
-    FillInfo(info, true, 0);
+    FillInfo(info, 0);
     return *std::move(hit);
   }
   Result<OverlapMvaSolution> solved = SolveOverlapMva(problem, opts, scratch);
   if (solved.ok()) {
     Insert(key, *solved);
     RecordSolve(solved->iterations);
-    FillInfo(info, false, solved->iterations);
+    FillInfo(info, solved->iterations);
   }
   return solved;
 }
@@ -147,7 +187,7 @@ Result<OverlapMvaSolution> SolveCache::SolveThrough(
   }
   const std::string key = MakeKey(problem, opts);
   if (std::optional<OverlapMvaSolution> hit = Lookup(key)) {
-    FillInfo(info, true, 0);
+    FillInfo(info, 0);
     return ExpandGroupedMvaSolution(*hit, problem.task_group);
   }
   Result<OverlapMvaSolution> group_sol =
@@ -155,22 +195,89 @@ Result<OverlapMvaSolution> SolveCache::SolveThrough(
   if (!group_sol.ok()) return group_sol;
   Insert(key, *group_sol);
   RecordSolve(group_sol->iterations);
-  FillInfo(info, false, group_sol->iterations);
+  FillInfo(info, group_sol->iterations);
   return ExpandGroupedMvaSolution(*group_sol, problem.task_group);
+}
+
+SolveCache::Shard& SolveCache::ShardFor(const std::string& key) {
+  if (shards_.size() == 1) return shards_.front();
+  const uint64_t h = MixHash(std::hash<std::string>{}(key));
+  return shards_[h & (shards_.size() - 1)];
+}
+
+std::optional<OverlapMvaSolution> SolveCache::Lookup(const std::string& key) {
+  Shard& shard = ShardFor(key);
+  MutexLock lock(shard.mu);
+  auto it = shard.entries.find(key);
+  if (it == shard.entries.end()) {
+    ++shard.window.misses;
+    return std::nullopt;
+  }
+  ++shard.window.hits;
+  // Refresh recency: splice the key to the front of the LRU list.
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.recency);
+  return it->second.solution;
+}
+
+void SolveCache::Insert(const std::string& key,
+                        const OverlapMvaSolution& solution) {
+  Shard& shard = ShardFor(key);
+  MutexLock lock(shard.mu);
+  if (shard.entries.count(key) > 0) return;
+  if (static_cast<int64_t>(shard.entries.size()) >= shard.max_entries) {
+    shard.entries.erase(shard.lru.back());
+    shard.lru.pop_back();
+    ++shard.window.evictions;
+  }
+  shard.lru.push_front(key);
+  shard.entries.emplace(key, Shard::Entry{solution, shard.lru.begin()});
+  ++shard.window.insertions;
+}
+
+MvaCacheStats SolveCache::shard_stats(int index) const {
+  const Shard& shard = shards_.at(static_cast<size_t>(index));
+  MutexLock lock(shard.mu);
+  MvaCacheStats snapshot = shard.window;
+  snapshot.size = static_cast<int64_t>(shard.entries.size());
+  return snapshot;
+}
+
+MvaCacheStats SolveCache::stats() const {
+  MvaCacheStats total = Lifecycle();
+  for (int i = 0; i < shard_count(); ++i) {
+    AddShardCounters(shard_stats(i), &total);
+  }
+  return total;
+}
+
+MvaCacheStats SolveCache::ResetStats() {
+  MvaCacheStats total = Lifecycle();
+  for (Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    AddShardCounters(shard.window, &total);
+    total.size += static_cast<int64_t>(shard.entries.size());
+    shard.window = MvaCacheStats{};
+  }
+  return total;
 }
 
 Status SolveCache::Checkpoint(const std::string& path) {
   std::vector<CacheCheckpointEntry> entries;
   entries.reserve(static_cast<size_t>(stats().size));
-  ForEachEntry([&entries](const std::string& key,
-                          const OverlapMvaSolution& solution) {
-    entries.push_back(CacheCheckpointEntry{key, solution});
-  });
+  for (const Shard& shard : shards_) {
+    MutexLock lock(shard.mu);
+    // Walk back-to-front: least-recently-used first, the order the
+    // checkpoint codec persists.
+    for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
+      entries.push_back(
+          CacheCheckpointEntry{*it, shard.entries.at(*it).solution});
+    }
+  }
   MRPERF_RETURN_NOT_OK(WriteCacheCheckpoint(path, entries));
   {
     MutexLock lock(lifecycle_mu_);
-    ++checkpoints_;
-    checkpoint_entries_ += static_cast<int64_t>(entries.size());
+    ++lifecycle_.checkpoints;
+    lifecycle_.checkpoint_entries += static_cast<int64_t>(entries.size());
   }
   return Status::OK();
 }
@@ -186,26 +293,25 @@ Status SolveCache::Recover(const std::string& path) {
   }
   {
     MutexLock lock(lifecycle_mu_);
-    ++recoveries_;
-    recovered_entries_ += static_cast<int64_t>(entries.size());
+    ++lifecycle_.recoveries;
+    lifecycle_.recovered_entries += static_cast<int64_t>(entries.size());
   }
   return Status::OK();
 }
 
 void SolveCache::RecordSolve(int iterations) {
   MutexLock lock(lifecycle_mu_);
-  ++solves_;
-  solve_iterations_ += iterations;
+  ++lifecycle_.solves;
+  lifecycle_.solve_iterations += iterations;
 }
 
-void SolveCache::AddLifecycleCounters(MvaCacheStats* stats) const {
+MvaCacheStats SolveCache::Lifecycle() const {
   MutexLock lock(lifecycle_mu_);
-  stats->checkpoints = checkpoints_;
-  stats->checkpoint_entries = checkpoint_entries_;
-  stats->recoveries = recoveries_;
-  stats->recovered_entries = recovered_entries_;
-  stats->solves = solves_;
-  stats->solve_iterations = solve_iterations_;
+  return lifecycle_;
+}
+
+std::unique_ptr<SolveCache> MakeSolveCache(int shards, int64_t max_entries) {
+  return std::make_unique<SolveCache>(shards, max_entries);
 }
 
 }  // namespace mrperf

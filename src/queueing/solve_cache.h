@@ -1,24 +1,25 @@
 /// \file solve_cache.h
-/// \brief The caching API of the solver stack: an abstract `SolveCache`
-/// interface every consumer (model, sweep engine, serving layer) codes
-/// against, plus the shared solve-through and checkpoint/recover logic
-/// that is identical for every implementation.
+/// \brief The solve cache every consumer of the solver stack (model,
+/// sweep engine, serving layer) shares: an exact memo of overlap-MVA
+/// fixed points.
 ///
-/// Two implementations exist:
+/// The modified-MVA loop (model.cc, activity A4) and sweep workloads
+/// solve many structurally identical overlap-MVA fixed points: a
+/// period-2 placement cycle alternates between two exact problems,
+/// calibration sweeps re-solve the same model points under unchanged
+/// model knobs, and concurrent jobs with symmetric placement produce
+/// duplicate networks. Since SolveOverlapMva is a pure function of
+/// (problem, options), keys are the exact packed bytes of that pair, so
+/// a hit is bit-identical to recomputation. That invariant is what
+/// makes every operation here — sharding, eviction, checkpointing a
+/// cache to disk and recovering it in another process — unable to
+/// perturb any result: the worst a cache can do is recompute.
 ///
-///  - `MvaSolveCache` (mva_cache.h) — one mutex-protected LRU. The
-///    right choice for batch sweeps with a handful of workers.
-///  - `ShardedSolveCache` (sharded_solve_cache.h) — N independently
-///    locked shards selected by key hash, for serving-scale concurrency
-///    where every connection and worker would otherwise contend on one
-///    lock.
-///
-/// The cache is a pure memo: keys are the exact packed bytes of the
-/// (problem, options) pair, so a hit is bit-identical to recomputation.
-/// That invariant is what makes every operation here — sharding,
-/// eviction, checkpointing a cache to disk and recovering it in another
-/// process — unable to perturb any result: the worst a cache can do is
-/// recompute.
+/// **Shards.** Entries live in N independently locked LRU shards
+/// selected by key hash, so concurrent solves of different keys do not
+/// contend on one lock. A SweepRunner sizes N from its worker pool —
+/// the only threads that solve through the cache — and one shard is a
+/// single mutex-protected LRU.
 ///
 /// **Checkpoint / recover.** `Checkpoint(path)` serializes the resident
 /// (key, class-granularity solution) entries to a length-prefixed,
@@ -32,10 +33,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/thread_annotations.h"
 #include "queueing/mva_overlap.h"
@@ -80,26 +83,34 @@ struct MvaCacheStats {
 /// \brief Per-call outcome of SolveCache::SolveThrough, for callers that
 /// aggregate solver effort (the model outer loop, benches).
 struct SolveThroughInfo {
-  /// Served from the cache (zero fixed-point iterations executed).
-  bool hit = false;
   /// Damped sweeps the call actually ran (0 on hits).
   int iterations = 0;
 };
 
-/// \brief Abstract solve cache (see file comment).
+/// \brief Bounded, thread-safe solution cache keyed on the full problem
+/// (see file comment).
 ///
-/// Implementations provide the storage primitives (`Lookup`, `Insert`,
-/// `stats`, ...); the base class owns everything that must behave
-/// identically across implementations — key construction, the
-/// solve-through protocol (validate once, lookup, solve, insert,
-/// grouped expansion) and the checkpoint/recover lifecycle — so a
-/// caller holding a `SolveCache&` cannot observe which implementation
-/// is behind it except through timing and `shard_count()`.
+/// When a shard reaches its cap the least-recently-used entry is
+/// evicted (a Lookup hit refreshes recency), so long sweeps whose
+/// working set exceeds the cap keep hitting on their recent problems —
+/// the repeated fixed points of a point appear close together in time —
+/// instead of freezing the cache at whatever happened to be solved
+/// first.
 ///
 /// All methods are safe to call concurrently.
 class SolveCache {
  public:
-  virtual ~SolveCache() = default;
+  /// \param shards lock shards, rounded up to a power of two and capped
+  ///   at the largest power of two <= `max_entries`, so every shard
+  ///   holds at least one entry.
+  /// \param max_entries total resident-entry cap (clamped to >= 1). The
+  ///   shard caps add up to exactly this: each shard gets
+  ///   max_entries / N entries and the first max_entries % N shards one
+  ///   more.
+  explicit SolveCache(int shards = 1, int64_t max_entries = 4096);
+
+  SolveCache(const SolveCache&) = delete;
+  SolveCache& operator=(const SolveCache&) = delete;
 
   /// Serializes the problem + options into an exact lookup key.
   static std::string MakeKey(const OverlapMvaProblem& problem,
@@ -115,20 +126,19 @@ class SolveCache {
 
   /// Returns the cached solution for `key`, if present, marking the
   /// entry most-recently used.
-  virtual std::optional<OverlapMvaSolution> Lookup(
-      const std::string& key) = 0;
+  std::optional<OverlapMvaSolution> Lookup(const std::string& key);
 
-  /// Stores `solution` under `key`, evicting the least-recently-used
-  /// entry when full (no-op when the key is already present).
-  virtual void Insert(const std::string& key,
-                      const OverlapMvaSolution& solution) = 0;
+  /// Stores `solution` under `key`, evicting the shard's
+  /// least-recently-used entry when it is full (no-op when the key is
+  /// already present).
+  void Insert(const std::string& key, const OverlapMvaSolution& solution);
 
-  /// Counter snapshot. Per shard, the snapshot is taken in one critical
-  /// section, so within a shard the counters are mutually consistent —
-  /// in particular `size == insertions - evictions` holds for every
-  /// snapshot (and for the aggregate, because each shard's triple is
-  /// internally consistent whatever moment it was read at).
-  virtual MvaCacheStats stats() const = 0;
+  /// Counter snapshot: the sum of the per-shard snapshots plus the
+  /// lifecycle counters. Each shard is read in one critical section, so
+  /// `size == insertions - evictions` holds for every snapshot (and for
+  /// the sum, because each shard's triple is internally consistent
+  /// whatever moment it was read at).
+  MvaCacheStats stats() const;
 
   /// Snapshots and resets the window counters (hits, misses,
   /// insertions, evictions) while leaving every entry resident and the
@@ -136,33 +146,22 @@ class SolveCache {
   /// closed window. Per shard the snapshot-and-reset is atomic, so
   /// every concurrent lookup lands in exactly one window — none lost,
   /// none double-counted.
-  virtual MvaCacheStats ResetStats() = 0;
+  MvaCacheStats ResetStats();
 
-  /// Drops all entries and resets the window counters.
-  virtual void Clear() = 0;
+  /// Number of independently locked shards.
+  int shard_count() const { return static_cast<int>(shards_.size()); }
 
-  /// Number of independently locked shards (1 for the single-mutex
-  /// implementation).
-  virtual int shard_count() const = 0;
-
-  /// Total resident-entry cap across all shards.
-  virtual int64_t max_entries() const = 0;
-
-  /// Enumerates resident entries under the shard lock(s),
-  /// least-recently-used first within each shard — the order the
-  /// checkpoint codec persists, so a capacity-limited recover evicts
-  /// oldest-first. The callback must not reenter the cache.
-  virtual void ForEachEntry(
-      const std::function<void(const std::string& key,
-                               const OverlapMvaSolution& solution)>& fn)
-      const = 0;
+  /// Window counters and size of shard `index` alone
+  /// (0 <= index < shard_count()); stats() is their sum plus the
+  /// lifecycle counters. Shows how keys spread over the shards.
+  MvaCacheStats shard_stats(int index) const;
 
   /// Convenience wrapper: lookup, else solve and insert. Forwards solver
   /// errors unchanged; errors are never cached. `scratch` (optional,
   /// per-thread) is handed to the solver on a miss. Validates the
   /// problem ONCE at entry (unless options.assume_valid) — hits and the
   /// miss solve never re-validate. `info` (optional) receives the
-  /// per-call outcome (hit / iterations executed).
+  /// iterations the call executed.
   ///
   /// **Cold solves only.** A call with options.initial_residence set
   /// returns InvalidArgument before any lookup. A seeded solve reaches
@@ -188,46 +187,57 @@ class SolveCache {
 
   /// Serializes the resident entries to `path` (written atomically:
   /// temp file + rename, so a crash mid-checkpoint never corrupts an
-  /// existing checkpoint). Entries inserted concurrently with the
-  /// export may or may not be included; every included entry is a
-  /// consistent (key, solution) pair.
+  /// existing checkpoint). Shards are walked in index order, each
+  /// least-recently-used first under its lock. Entries inserted
+  /// concurrently with the export may or may not be included; every
+  /// included entry is a consistent (key, solution) pair.
   Status Checkpoint(const std::string& path);
 
   /// Replays a checkpoint file through Insert, warming this cache.
   /// Existing entries keep priority (duplicate keys are no-ops); when
-  /// the file holds more entries than `max_entries()`, the
-  /// least-recently-used entries of the checkpoint are the ones
-  /// dropped. Errors (missing, truncated, CRC-mismatched or
+  /// the file holds more entries than a shard holds, the entries
+  /// replayed first — the least recently used of their source shard —
+  /// are the ones dropped. Errors (missing, truncated, CRC-mismatched or
   /// version-mismatched files) leave the cache in its pre-call state
   /// semantically: whatever was replayed is still just a memo. Callers
   /// should log the error and continue cold.
   Status Recover(const std::string& path);
 
  private:
-  /// Lifecycle counters live here so every implementation reports them
-  /// identically; implementations fold them in via
-  /// AddLifecycleCounters.
-  mutable Mutex lifecycle_mu_;
-  int64_t checkpoints_ GUARDED_BY(lifecycle_mu_) = 0;
-  int64_t checkpoint_entries_ GUARDED_BY(lifecycle_mu_) = 0;
-  int64_t recoveries_ GUARDED_BY(lifecycle_mu_) = 0;
-  int64_t recovered_entries_ GUARDED_BY(lifecycle_mu_) = 0;
-  int64_t solves_ GUARDED_BY(lifecycle_mu_) = 0;
-  int64_t solve_iterations_ GUARDED_BY(lifecycle_mu_) = 0;
+  /// One independently locked LRU map.
+  struct Shard {
+    struct Entry {
+      OverlapMvaSolution solution;
+      /// Position in `lru` (front == most recent).
+      std::list<std::string>::iterator recency;
+    };
+
+    mutable Mutex mu;
+    std::unordered_map<std::string, Entry> entries GUARDED_BY(mu);
+    /// Keys ordered by recency of use; the back is the eviction victim.
+    std::list<std::string> lru GUARDED_BY(mu);
+    /// Window counters only; `size` is read from `entries`.
+    MvaCacheStats window GUARDED_BY(mu);
+    /// Resident-entry cap, fixed at construction.
+    int64_t max_entries = 1;
+  };
+
+  Shard& ShardFor(const std::string& key);
+
+  /// The lifecycle counters (their window fields stay zero).
+  MvaCacheStats Lifecycle() const;
 
   /// Folds one executed fixed-point solve into the lifecycle gauges.
   void RecordSolve(int iterations);
 
- protected:
-  /// Adds the checkpoint/recover counters into `stats` (implementations
-  /// call this from stats()/ResetStats()).
-  void AddLifecycleCounters(MvaCacheStats* stats) const;
+  /// Sized once at construction (a power of two); never resized.
+  std::vector<Shard> shards_;
+
+  mutable Mutex lifecycle_mu_;
+  MvaCacheStats lifecycle_ GUARDED_BY(lifecycle_mu_);
 };
 
-/// \brief Builds a cache: `shards <= 1` selects the single-mutex
-/// `MvaSolveCache`, larger values a `ShardedSolveCache` with the count
-/// rounded up to the next power of two. `max_entries` is the total cap
-/// across shards.
+/// \brief Heap-allocated `SolveCache(shards, max_entries)`.
 std::unique_ptr<SolveCache> MakeSolveCache(int shards, int64_t max_entries);
 
 }  // namespace mrperf

@@ -17,9 +17,7 @@ SweepOptions SweepOptionsFor(const PredictServiceOptions& options) {
   SweepOptions sweep;
   sweep.num_threads = options.num_threads;
   sweep.experiment = options.experiment;
-  sweep.use_mva_cache = true;
   sweep.cache_max_entries = options.cache_max_entries;
-  sweep.cache_shards = options.cache_shards;
   // Irrelevant to RunTasks (every task pins derive_seed = false), set
   // for clarity: seeds always come from the request.
   sweep.derive_point_seeds = false;

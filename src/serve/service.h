@@ -105,10 +105,6 @@ struct PredictServiceOptions {
   /// Resident-entry cap of the solve cache and, separately, of the
   /// response cache (each LRU, minimum 1).
   int64_t cache_max_entries = 4096;
-  /// Lock shards of the shared solve cache (MakeSolveCache; rounded up
-  /// to a power of two, 1 = single mutex). The default covers typical
-  /// worker-pool fan-in; results are bit-identical at any shard count.
-  int cache_shards = 8;
   /// When nonempty: recover the solve cache from this checkpoint file
   /// at construction (cold start + warning log if missing or invalid)
   /// and checkpoint the resident entries back on Drain().

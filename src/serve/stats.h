@@ -163,7 +163,8 @@ struct ServeStatsSnapshot {
   MvaCacheStats cache;
   /// Same counters since the last {"kind":"stats","reset_window":true}.
   MvaCacheStats cache_window;
-  /// Lock shards of the shared cache (1 = the single-mutex cache).
+  /// Lock shards of the shared cache: the worker count rounded up to a
+  /// power of two.
   int cache_shards = 0;
 };
 

@@ -141,46 +141,29 @@ TEST(SweepRunnerTest, ScenarioGridIsThreadCountInvariant) {
 }
 
 TEST(SweepRunnerTest, CacheDoesNotChangeResults) {
-  SweepOptions with_cache = FastSweepOptions(2);
-  SweepOptions without_cache = FastSweepOptions(2);
-  without_cache.use_mva_cache = false;
-  SweepRunner cached(with_cache);
-  SweepRunner uncached(without_cache);
+  // The runner solves through its shared cache; plain RunModelPrediction
+  // calls with no cache are the oracle.
+  const SweepOptions options = FastSweepOptions(2);
+  SweepRunner runner(options);
   const auto points = SmallGrid().Expand();
-  SweepReport a = cached.Run(points);
-  SweepReport b = uncached.Run(points);
-  ASSERT_TRUE(a.all_ok());
-  ASSERT_TRUE(b.all_ok());
+  SweepReport report = runner.Run(points);
+  ASSERT_TRUE(report.all_ok());
   for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(a.results[i]->forkjoin_sec, b.results[i]->forkjoin_sec);
-    EXPECT_EQ(a.results[i]->tripathi_sec, b.results[i]->tripathi_sec);
+    Result<ModelResult> uncached =
+        RunModelPrediction(points[i], options.experiment);
+    ASSERT_TRUE(uncached.ok());
+    EXPECT_EQ(report.results[i]->forkjoin_sec, uncached->forkjoin_response);
+    EXPECT_EQ(report.results[i]->tripathi_sec, uncached->tripathi_response);
   }
-  EXPECT_GT(a.cache_stats.lookups(), 0);
-  EXPECT_EQ(b.cache_stats.lookups(), 0);
+  EXPECT_GT(report.cache_stats.lookups(), 0);
 }
 
-TEST(SweepRunnerTest, ShardedCacheDoesNotChangeResults) {
-  // Sharding is a pure locking change: the sweep must be byte-identical
-  // whether the runner's cache has 1 shard or 8.
-  SweepOptions sharded_opts = FastSweepOptions(2);
-  sharded_opts.cache_shards = 8;
-  SweepRunner single(FastSweepOptions(2));
-  SweepRunner sharded(sharded_opts);
-  EXPECT_EQ(single.cache().shard_count(), 1);
-  EXPECT_EQ(sharded.cache().shard_count(), 8);
-
-  const auto points = SmallGrid().Expand();
-  SweepReport a = single.Run(points);
-  SweepReport b = sharded.Run(points);
-  ASSERT_TRUE(a.all_ok());
-  ASSERT_TRUE(b.all_ok());
-  for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(a.results[i]->measured_sec, b.results[i]->measured_sec);
-    EXPECT_EQ(a.results[i]->forkjoin_sec, b.results[i]->forkjoin_sec);
-    EXPECT_EQ(a.results[i]->tripathi_sec, b.results[i]->tripathi_sec);
-  }
-  EXPECT_EQ(a.cache_stats.lookups(), b.cache_stats.lookups());
-  EXPECT_EQ(a.cache_stats.hits, b.cache_stats.hits);
+TEST(SweepRunnerTest, CacheShardsFollowThreadCount) {
+  // Only pool workers solve through the cache, so a runner gives it one
+  // lock shard per thread, rounded up to a power of two.
+  EXPECT_EQ(SweepRunner(FastSweepOptions(1)).cache().shard_count(), 1);
+  EXPECT_EQ(SweepRunner(FastSweepOptions(3)).cache().shard_count(), 4);
+  EXPECT_EQ(SweepRunner(FastSweepOptions(8)).cache().shard_count(), 8);
 }
 
 TEST(SweepRunnerTest, PerPointSeedsDecorrelateMeasurements) {

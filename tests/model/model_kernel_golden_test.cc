@@ -21,8 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "experiments/experiment.h"
-#include "queueing/mva_cache.h"
 #include "queueing/mva_kernel.h"
+#include "queueing/solve_cache.h"
 
 namespace mrperf {
 namespace {
@@ -140,7 +140,7 @@ TEST(ModelKernelGoldenTest, SolveCacheDoesNotPerturbGroupedPredictions) {
   // per lookup; a hit must be bit-identical to recomputation.
   for (const ExperimentPoint& point :
        {Point(4, 1.0, 1), Point(4, 5.0, 4)}) {
-    MvaSolveCache cache;
+    SolveCache cache;
     ExperimentOptions opts = DefaultExperimentOptions();
     auto uncached = RunModelPrediction(point, opts);
     opts.model.mva_cache = &cache;

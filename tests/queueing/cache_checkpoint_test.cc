@@ -1,5 +1,5 @@
-/// Checkpoint/recover robustness: round-trips (including across
-/// implementations), every corruption class the codec guards against
+/// Checkpoint/recover robustness: round-trips (including from one shard
+/// count into another), every corruption class the codec guards against
 /// (truncation, bit flips, bad magic, unknown versions, trailing
 /// garbage), capacity-limited recovery evicting LRU-first, and the
 /// lifecycle counters surfaced through stats().
@@ -13,8 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "queueing/mva_cache.h"
-#include "queueing/sharded_solve_cache.h"
 #include "queueing/solve_cache.h"
 
 namespace mrperf {
@@ -175,36 +173,42 @@ TEST(CacheCheckpointCodecTest, TrailingGarbageIsRejected) {
 }
 
 TEST(SolveCacheCheckpointTest, CheckpointRecoverRoundTripsBitIdentically) {
-  MvaSolveCache source(/*max_entries=*/64);
-  Warm(source, 6);
   const std::string path = TempPath("cache-roundtrip.ckpt");
-  ASSERT_TRUE(source.Checkpoint(path).ok());
-
-  MvaSolveCache restored(/*max_entries=*/64);
-  ASSERT_TRUE(restored.Recover(path).ok());
-  EXPECT_EQ(restored.stats().size, 6);
-  for (int i = 1; i <= 6; ++i) {
-    const std::string key =
-        SolveCache::MakeKey(TwoTaskProblem(0.01 * i), {});
-    auto original = source.Lookup(key);
-    auto recovered = restored.Lookup(key);
-    ASSERT_TRUE(original.has_value());
-    ASSERT_TRUE(recovered.has_value());
-    EXPECT_EQ(original->response, recovered->response);
-    EXPECT_EQ(original->residence, recovered->residence);
+  for (int source_shards : {1, 4}) {
+    SolveCache source(source_shards, /*max_entries=*/64);
+    Warm(source, 6);
+    ASSERT_TRUE(source.Checkpoint(path).ok());
+    for (int restored_shards : {1, 4}) {
+      SCOPED_TRACE(std::to_string(source_shards) + " -> " +
+                   std::to_string(restored_shards) + " shards");
+      SolveCache restored(restored_shards, /*max_entries=*/64);
+      ASSERT_TRUE(restored.Recover(path).ok());
+      EXPECT_EQ(restored.stats().size, 6);
+      for (int i = 1; i <= 6; ++i) {
+        const std::string key =
+            SolveCache::MakeKey(TwoTaskProblem(0.01 * i), {});
+        auto original = source.Lookup(key);
+        auto recovered = restored.Lookup(key);
+        ASSERT_TRUE(original.has_value());
+        ASSERT_TRUE(recovered.has_value());
+        EXPECT_EQ(original->response, recovered->response);
+        EXPECT_EQ(original->residence, recovered->residence);
+      }
+    }
   }
   std::remove(path.c_str());
 }
 
 TEST(SolveCacheCheckpointTest, SingleMutexCheckpointWarmsShardedCache) {
-  // The format is implementation-independent: a single-mutex checkpoint
-  // recovers into a sharded cache (and the hits stay bit-identical).
-  MvaSolveCache source(/*max_entries=*/64);
+  // The format is independent of the shard count: a single-mutex
+  // checkpoint recovers into an 8-shard cache (and the hits stay
+  // bit-identical).
+  SolveCache source(/*shards=*/1, /*max_entries=*/64);
   Warm(source, 5);
   const std::string path = TempPath("cross-impl.ckpt");
   ASSERT_TRUE(source.Checkpoint(path).ok());
 
-  ShardedSolveCache restored(/*shards=*/8, /*max_entries=*/64);
+  SolveCache restored(/*shards=*/8, /*max_entries=*/64);
   ASSERT_TRUE(restored.Recover(path).ok());
   EXPECT_EQ(restored.stats().size, 5);
   for (int i = 1; i <= 5; ++i) {
@@ -216,12 +220,12 @@ TEST(SolveCacheCheckpointTest, SingleMutexCheckpointWarmsShardedCache) {
 }
 
 TEST(SolveCacheCheckpointTest, RecoverIntoSmallerCacheKeepsNewestEntries) {
-  MvaSolveCache source(/*max_entries=*/64);
+  SolveCache source(/*shards=*/1, /*max_entries=*/64);
   Warm(source, 8);  // insertion order == recency order here
   const std::string path = TempPath("shrink.ckpt");
   ASSERT_TRUE(source.Checkpoint(path).ok());
 
-  MvaSolveCache small(/*max_entries=*/3);
+  SolveCache small(/*shards=*/1, /*max_entries=*/3);
   ASSERT_TRUE(small.Recover(path).ok());
   EXPECT_EQ(small.stats().size, 3);
   // Entries are replayed LRU-first, so the 3 most recent survive.
@@ -237,12 +241,12 @@ TEST(SolveCacheCheckpointTest, RecoverIntoSmallerCacheKeepsNewestEntries) {
 }
 
 TEST(SolveCacheCheckpointTest, RecoverKeepsExistingEntriesOverFileEntries) {
-  MvaSolveCache source(/*max_entries=*/64);
+  SolveCache source(/*shards=*/1, /*max_entries=*/64);
   Warm(source, 3);
   const std::string path = TempPath("merge.ckpt");
   ASSERT_TRUE(source.Checkpoint(path).ok());
 
-  MvaSolveCache target(/*max_entries=*/64);
+  SolveCache target(/*shards=*/1, /*max_entries=*/64);
   Warm(target, 1);  // theta 0.01 already resident
   ASSERT_TRUE(target.Recover(path).ok());
   EXPECT_EQ(target.stats().size, 3);  // duplicate key was a no-op
@@ -250,7 +254,7 @@ TEST(SolveCacheCheckpointTest, RecoverKeepsExistingEntriesOverFileEntries) {
 }
 
 TEST(SolveCacheCheckpointTest, LifecycleCountersSurviveResetStats) {
-  MvaSolveCache cache(/*max_entries=*/64);
+  SolveCache cache(/*shards=*/1, /*max_entries=*/64);
   Warm(cache, 4);
   const std::string path = TempPath("lifecycle.ckpt");
   ASSERT_TRUE(cache.Checkpoint(path).ok());
@@ -260,7 +264,7 @@ TEST(SolveCacheCheckpointTest, LifecycleCountersSurviveResetStats) {
   EXPECT_EQ(stats.checkpoint_entries, 4);
   EXPECT_EQ(stats.recoveries, 0);
 
-  ShardedSolveCache restored(/*shards=*/4, /*max_entries=*/64);
+  SolveCache restored(/*shards=*/4, /*max_entries=*/64);
   ASSERT_TRUE(restored.Recover(path).ok());
   stats = restored.stats();
   EXPECT_EQ(stats.recoveries, 1);
@@ -278,7 +282,7 @@ TEST(SolveCacheCheckpointTest, LifecycleCountersSurviveResetStats) {
 TEST(SolveCacheCheckpointTest, RecoverFromCorruptFileFailsWithoutCrashing) {
   const std::string path = TempPath("corrupt-recover.ckpt");
   WriteFileBytes(path, "MRSC this is not a checkpoint");
-  MvaSolveCache cache(/*max_entries=*/64);
+  SolveCache cache(/*shards=*/1, /*max_entries=*/64);
   const Status status = cache.Recover(path);
   ASSERT_FALSE(status.ok());
   // A failed recovery neither warms the cache nor counts as a recovery.
@@ -288,12 +292,12 @@ TEST(SolveCacheCheckpointTest, RecoverFromCorruptFileFailsWithoutCrashing) {
 }
 
 TEST(SolveCacheCheckpointTest, CheckpointOverwritesAtomically) {
-  MvaSolveCache first(/*max_entries=*/64);
+  SolveCache first(/*shards=*/1, /*max_entries=*/64);
   Warm(first, 2);
   const std::string path = TempPath("overwrite.ckpt");
   ASSERT_TRUE(first.Checkpoint(path).ok());
 
-  MvaSolveCache second(/*max_entries=*/64);
+  SolveCache second(/*shards=*/1, /*max_entries=*/64);
   Warm(second, 5);
   ASSERT_TRUE(second.Checkpoint(path).ok());  // rename over the old file
 

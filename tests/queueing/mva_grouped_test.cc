@@ -15,9 +15,9 @@
 #include "common/random.h"
 #include "model/overlap.h"
 #include "model/timeline.h"
-#include "queueing/mva_cache.h"
 #include "queueing/mva_kernel.h"
 #include "queueing/mva_overlap.h"
+#include "queueing/solve_cache.h"
 
 namespace mrperf {
 namespace {
@@ -295,23 +295,29 @@ TEST(MvaGroupedTest, ValidateCatchesStructuralErrors) {
   EXPECT_FALSE(bad.Validate().ok());
 }
 
+/// Shard counts the grouped cache cases run at.
+constexpr int kShardCounts[] = {1, 4};
+
 TEST(MvaGroupedCacheTest, CompressedKeysHitAcrossMemberOrderings) {
   // Same compressed form, different member orderings: one solve, two
   // hits, each expanded through its own map.
   GroupedOverlapMvaProblem a = StripedGroupedProblem(3, 2, 4, 0.5);
   GroupedOverlapMvaProblem b = a;
   std::reverse(b.task_group.begin(), b.task_group.end());
-  MvaSolveCache cache;
   const OverlapMvaOptions opts;
-  auto sa = cache.SolveThrough(a, opts);
-  auto sb = cache.SolveThrough(b, opts);
-  ASSERT_TRUE(sa.ok());
-  ASSERT_TRUE(sb.ok());
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().hits, 1);
-  // b's expansion is a's reversed.
-  for (size_t i = 0; i < sa->response.size(); ++i) {
-    EXPECT_EQ(sa->response[i], sb->response[sa->response.size() - 1 - i]);
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    SolveCache cache(shards);
+    auto sa = cache.SolveThrough(a, opts);
+    auto sb = cache.SolveThrough(b, opts);
+    ASSERT_TRUE(sa.ok());
+    ASSERT_TRUE(sb.ok());
+    EXPECT_EQ(cache.stats().misses, 1);
+    EXPECT_EQ(cache.stats().hits, 1);
+    // b's expansion is a's reversed.
+    for (size_t i = 0; i < sa->response.size(); ++i) {
+      EXPECT_EQ(sa->response[i], sb->response[sa->response.size() - 1 - i]);
+    }
   }
 }
 
@@ -320,29 +326,36 @@ TEST(MvaGroupedCacheTest, Period2CycleHitsByConstruction) {
   // two problems; from the third solve on everything is a hit.
   const GroupedOverlapMvaProblem a = StripedGroupedProblem(3, 4, 4, 0.5);
   const GroupedOverlapMvaProblem b = StripedGroupedProblem(3, 4, 4, 0.7);
-  MvaSolveCache cache;
   const OverlapMvaOptions opts;
-  auto a1 = cache.SolveThrough(a, opts);
-  auto b1 = cache.SolveThrough(b, opts);
-  auto a2 = cache.SolveThrough(a, opts);
-  auto b2 = cache.SolveThrough(b, opts);
-  ASSERT_TRUE(a1.ok() && b1.ok() && a2.ok() && b2.ok());
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().hits, 2);
-  ExpectBitIdentical(*a1, *a2);
-  ExpectBitIdentical(*b1, *b2);
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    SolveCache cache(shards);
+    auto a1 = cache.SolveThrough(a, opts);
+    auto b1 = cache.SolveThrough(b, opts);
+    auto a2 = cache.SolveThrough(a, opts);
+    auto b2 = cache.SolveThrough(b, opts);
+    ASSERT_TRUE(a1.ok() && b1.ok() && a2.ok() && b2.ok());
+    EXPECT_EQ(cache.stats().misses, 2);
+    EXPECT_EQ(cache.stats().hits, 2);
+    ExpectBitIdentical(*a1, *a2);
+    ExpectBitIdentical(*b1, *b2);
+  }
 }
 
 TEST(MvaGroupedCacheTest, HitsAreBitIdenticalToRecomputation) {
   const GroupedOverlapMvaProblem p = StripedGroupedProblem(4, 8, 4, 0.8);
-  MvaSolveCache cache;
   const OverlapMvaOptions opts;
   auto direct = SolveGroupedOverlapMva(p, opts);
-  auto cold = cache.SolveThrough(p, opts);
-  auto warm = cache.SolveThrough(p, opts);
-  ASSERT_TRUE(direct.ok() && cold.ok() && warm.ok());
-  ExpectBitIdentical(*direct, *cold);
-  ExpectBitIdentical(*direct, *warm);
+  ASSERT_TRUE(direct.ok());
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    SolveCache cache(shards);
+    auto cold = cache.SolveThrough(p, opts);
+    auto warm = cache.SolveThrough(p, opts);
+    ASSERT_TRUE(cold.ok() && warm.ok());
+    ExpectBitIdentical(*direct, *cold);
+    ExpectBitIdentical(*direct, *warm);
+  }
 }
 
 TEST(MvaGroupedCacheTest, ReferencePathsCacheAtTaskGranularity) {
@@ -350,23 +363,26 @@ TEST(MvaGroupedCacheTest, ReferencePathsCacheAtTaskGranularity) {
   // dense cache: its entries are shared with dense solves of the
   // expanded problem, and hits stay bit-identical to the dense path.
   const GroupedOverlapMvaProblem p = StripedGroupedProblem(3, 2, 4, 0.5);
-  MvaSolveCache cache;
   OverlapMvaOptions opts;
   opts.kernel = MvaKernelPath::kBlocked;
-  auto grouped_entry = cache.SolveThrough(p, opts);
-  auto dense_entry = cache.SolveThrough(p.Expand(), opts);
-  ASSERT_TRUE(grouped_entry.ok());
-  ASSERT_TRUE(dense_entry.ok());
-  EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().hits, 1);
-  ExpectBitIdentical(*grouped_entry, *dense_entry);
+  for (int shards : kShardCounts) {
+    SCOPED_TRACE(shards);
+    SolveCache cache(shards);
+    auto grouped_entry = cache.SolveThrough(p, opts);
+    auto dense_entry = cache.SolveThrough(p.Expand(), opts);
+    ASSERT_TRUE(grouped_entry.ok());
+    ASSERT_TRUE(dense_entry.ok());
+    EXPECT_EQ(cache.stats().misses, 1);
+    EXPECT_EQ(cache.stats().hits, 1);
+    ExpectBitIdentical(*grouped_entry, *dense_entry);
+  }
 }
 
 TEST(MvaGroupedCacheTest, GroupedAndDenseKeysNeverCollide) {
   const GroupedOverlapMvaProblem p = StripedGroupedProblem(3, 1, 4, 0.5);
   const OverlapMvaOptions opts;
-  EXPECT_NE(MvaSolveCache::MakeKey(p, opts),
-            MvaSolveCache::MakeKey(p.Expand(), opts));
+  EXPECT_NE(SolveCache::MakeKey(p, opts),
+            SolveCache::MakeKey(p.Expand(), opts));
 }
 
 /// Random timeline: tasks draw jobs/nodes/intervals/demands from small
@@ -472,7 +488,7 @@ TEST(MvaGroupedTest, InvalidProblemRejectedAtApiEntry) {
   GroupedOverlapMvaProblem p = StripedGroupedProblem(2, 2, 4, 0.5);
   p.overlap[0][1] = 2.0;
   EXPECT_FALSE(SolveGroupedOverlapMva(p).ok());
-  MvaSolveCache cache;
+  SolveCache cache;
   EXPECT_FALSE(cache.SolveThrough(p, OverlapMvaOptions{}).ok());
 }
 

@@ -276,7 +276,6 @@ TEST(PredictServiceTest, CheckpointOnDrainWarmsTheNextBoot) {
   std::string first_response;
   {
     PredictServiceOptions options = FastServiceOptions();
-    options.cache_shards = 4;
     options.cache_file = path;
     PredictService service(options);
     EXPECT_EQ(service.Stats().cache.recoveries, 0);  // no file yet: cold
@@ -288,11 +287,10 @@ TEST(PredictServiceTest, CheckpointOnDrainWarmsTheNextBoot) {
   // replayed request must hit the cache and answer byte-identically.
   {
     PredictServiceOptions options = FastServiceOptions();
-    options.cache_shards = 4;
     options.cache_file = path;
     PredictService service(options);
     const ServeStatsSnapshot boot = service.Stats();
-    EXPECT_EQ(boot.cache_shards, 4);
+    EXPECT_EQ(boot.cache_shards, 2);  // one shard per worker
     EXPECT_EQ(boot.cache.recoveries, 1);
     EXPECT_GT(boot.cache.recovered_entries, 0);
     EXPECT_GT(boot.cache.size, 0);

@@ -14,9 +14,10 @@
 /// they carry is independent of this budget), --max-queue=N, --batch=N,
 /// --quota-rps=N (per-client token-bucket rate limit; 0 = off),
 /// --metrics=0|1 (HTTP GET /metrics and /stats on the listen port),
-/// --cache-shards=N, --cache-file=PATH (checkpoint the solve cache on
-/// drain, recover it on boot — warm restarts; answers are not
-/// persisted), --verbose.
+/// --cache-file=PATH (checkpoint the solve cache on drain, recover it
+/// on boot — warm restarts; answers are not persisted), --verbose. The
+/// solve cache has one lock shard per worker, rounded up to a power of
+/// two.
 ///
 /// Example session:
 ///   $ ./predictd --port=7077 &
@@ -109,8 +110,6 @@ int main(int argc, char** argv) {
         "                    bucket per peer address; default 0 = off)\n"
         "  --metrics=0|1  HTTP GET /metrics (Prometheus text) and\n"
         "                    /stats on the listen port (default 1)\n"
-        "  --cache-shards=N  solve-cache lock shards, rounded up to a\n"
-        "                    power of two; 1 = single mutex (default 8)\n"
         "  --cache-file=PATH checkpoint the solve cache here on drain\n"
         "                    and recover it on the next boot (answers\n"
         "                    are not persisted)\n"
@@ -137,8 +136,6 @@ int main(int argc, char** argv) {
       IntFlag(argc, argv, "--max-queue", options.service.max_queue);
   options.service.max_batch =
       IntFlag(argc, argv, "--batch", options.service.max_batch);
-  options.service.cache_shards =
-      IntFlag(argc, argv, "--cache-shards", options.service.cache_shards);
   options.service.cache_file =
       StringFlag(argc, argv, "--cache-file", options.service.cache_file);
   options.replica_id =
