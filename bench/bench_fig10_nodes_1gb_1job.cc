@@ -5,10 +5,10 @@
 #include "figure_common.h"
 
 int main(int argc, char** argv) {
-  mrperf::bench::BenchArgs args(argc, argv);
-  const int threads = args.Threads();
-  const std::string out = args.OutPath();
-  const std::string json_out = args.JsonOutPath();
+  mrperf::Flags args(argc, argv);
+  const int threads = args.IntFlag("--threads", 0);
+  const std::string out = args.StringFlag("--out");
+  const std::string json_out = args.StringFlag("--json-out");
   if (!args.Validate()) return 2;
   return mrperf::bench::RunNodeSweepFigure(
       "Figure 10: Input 1GB; #jobs 1", /*input_gb=*/1.0, /*num_jobs=*/1,

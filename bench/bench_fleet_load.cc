@@ -49,7 +49,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench_flags.h"
+#include "common/flags.h"
 #include "gate_table.h"
 #include "common/statistics.h"
 #include "engine/sweep_format.h"
@@ -197,13 +197,13 @@ bool HttpGet(int port, const std::string& path, std::string* status_line,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::BenchArgs args(argc, argv);
-  const bool smoke = args.Smoke();
+  Flags args(argc, argv);
+  const bool smoke = args.BoolFlag("--smoke");
   const std::string predictd_path =
       args.StringFlag("--predictd", "./predictd");
   const std::string router_path =
       args.StringFlag("--router", "./predict_router");
-  const std::string json_out = args.JsonOutPath();
+  const std::string json_out = args.StringFlag("--json-out");
   const int connections = std::max(1, args.IntFlag("--connections", 4));
   const int requests_per_connection =
       std::max(4, args.IntFlag("--requests", smoke ? 8 : 16));

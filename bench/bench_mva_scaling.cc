@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_flags.h"
+#include "common/flags.h"
 #include "queueing/mva_approx.h"
 #include "queueing/mva_exact.h"
 #include "queueing/mva_kernel.h"
@@ -427,11 +427,11 @@ int Run(bool smoke, double min_ms, int max_tasks,
 }  // namespace mrperf
 
 int main(int argc, char** argv) {
-  mrperf::bench::BenchArgs args(argc, argv);
-  const bool smoke = args.Smoke();
+  mrperf::Flags args(argc, argv);
+  const bool smoke = args.BoolFlag("--smoke");
   double min_ms = args.DoubleFlag("--min-ms", 0.0);  // 0 = mode default
   const int max_tasks = args.IntFlag("--max-tasks", 256);
-  const std::string json_path = args.JsonOutPath();
+  const std::string json_path = args.StringFlag("--json-out");
   if (!args.Validate()) {
     std::fprintf(stderr,
                  "usage: %s [--smoke] [--min-ms=N] [--max-tasks=T] "

@@ -30,12 +30,12 @@
 int main(int argc, char** argv) {
   using namespace mrperf;
 
-  bench::BenchArgs args(argc, argv);
-  const int num_threads = args.Threads();
-  const bool smoke = args.Smoke();
-  const bool show_progress = args.Progress();
-  const std::string out_path = args.OutPath();
-  const std::string json_path = args.JsonOutPath();
+  Flags args(argc, argv);
+  const int num_threads = args.IntFlag("--threads", 0);
+  const bool smoke = args.BoolFlag("--smoke");
+  const bool show_progress = args.BoolFlag("--progress");
+  const std::string out_path = args.StringFlag("--out");
+  const std::string json_path = args.StringFlag("--json-out");
   if (!args.Validate()) return 2;
 
   // 2-tier heterogeneous shape: half big paper-testbed nodes, half

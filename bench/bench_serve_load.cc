@@ -31,17 +31,11 @@
 ///     the sharded cache's per-shard counters: the hot keys must spread
 ///     over more than one shard, and the per-shard hits must sum to
 ///     every lookup made.
-///  6. **Warm-restart gate.** A fresh predictd runs with --cache-file,
-///     serves distinct model-only predicts, and is SIGTERMed (writing a
-///     checkpoint on drain). A second predictd recovering that file must
-///     report the recovery in /stats, hit the solve cache while
-///     re-evaluating the replayed requests (answers are not persisted),
-///     and answer every one byte-identically.
-///  7. **C10k gate.** A fresh predictd (1 worker, 2 event-loop threads)
+///  6. **C10k gate.** A fresh predictd (1 worker, 2 event-loop threads)
 ///     holds >= 1000 idle connections while 64 active clients pipeline
 ///     bursts on top: every response ordered, served on the fixed loop
 ///     budget (event_loop_threads in /stats must not grow).
-///  8. **QoS gate.** Bulk clients saturate the queue with distinct
+///  7. **QoS gate.** Bulk clients saturate the queue with distinct
 ///     evaluations while an interactive client sends requests one at a
 ///     time: its last answer must arrive while bulk answers are still
 ///     outstanding, counted as the bulk clients read them, so arrival
@@ -51,7 +45,7 @@
 ///     backlog, must each get a structured answer — deadline_exceeded
 ///     is never silently dropped and the stats counter matches the
 ///     responses observed.
-///  9. **Metrics gate.** GET /metrics over the same port must parse as
+///  8. **Metrics gate.** GET /metrics over the same port must parse as
 ///     valid Prometheus text exposition (ValidatePrometheusText) and
 ///     carry the per-priority latency histogram and the response-cache
 ///     families. A final gate SIGTERMs that child with the idle
@@ -262,7 +256,7 @@ bool StopChildGracefully(ChildServer* child) {
   return ok;
 }
 
-/// Raises the soft fd limit to the hard cap: phase 7 holds a thousand
+/// Raises the soft fd limit to the hard cap: phase 6 holds a thousand
 /// client sockets on the bench side alone.
 void RaiseFdLimit() {
   rlimit limit{};
@@ -388,15 +382,15 @@ double BestHotKeyLookupSeconds(SolveCache& cache,
 
 int main(int argc, char** argv) {
   RaiseFdLimit();
-  bench::BenchArgs args(argc, argv);
+  Flags args(argc, argv);
   const int threads = [&] {
-    const int t = args.Threads();
+    const int t = args.IntFlag("--threads", 0);
     return t > 0 ? t : 4;
   }();
-  const bool smoke = args.Smoke();
+  const bool smoke = args.BoolFlag("--smoke");
   const std::string predictd_path = args.StringFlag("--predictd",
                                                     "./predictd");
-  const std::string json_out = args.JsonOutPath();
+  const std::string json_out = args.StringFlag("--json-out");
   const int connections = std::max(1, args.IntFlag("--connections", 4));
   const int requests_per_connection =
       std::max(1, args.IntFlag("--requests", smoke ? 5 : 10));
@@ -729,99 +723,7 @@ int main(int argc, char** argv) {
     return Status::OK();
   });
 
-  // ---- Phase 6: warm-restart gate -------------------------------------
-  const std::string cache_file =
-      "/tmp/bench_serve_cache_" + std::to_string(getpid()) + ".ckpt";
-  constexpr int kWarmRequests = 6;
-  double recovered_entries = 0.0;
-  bool warm_byte_identical = false;
-  gates.Run("warm restart", [&]() -> Status {
-    const std::vector<std::string> cache_args = {"--cache-file=" + cache_file};
-    // First life: serve distinct model-only predicts, then drain — the
-    // drain writes the checkpoint.
-    std::vector<std::string> warm_requests;
-    for (int i = 0; i < kWarmRequests; ++i) {
-      warm_requests.push_back(R"({"id":"w)" + std::to_string(i) +
-                              R"(","nodes":)" + std::to_string(2 + i) +
-                              R"(,"input_gb":0.25,"model_only":true})");
-    }
-    std::vector<std::string> first_responses;
-    {
-      ChildServer warm_child;
-      if (!SpawnPredictd(predictd_path, threads, &warm_child, cache_args)) {
-        return bench::GateFailure("first predictd did not start");
-      }
-      PredictClient client;
-      MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", warm_child.port));
-      for (const std::string& line : warm_requests) {
-        Result<std::string> response = client.Call(line);
-        if (!response.ok() ||
-            response->find("\"ok\": true") == std::string::npos) {
-          return bench::GateFailure("first-life request failed");
-        }
-        first_responses.push_back(*response);
-      }
-      if (!StopChildGracefully(&warm_child)) {
-        return bench::GateFailure("first predictd did not exit 0");
-      }
-    }
-    std::FILE* ckpt = std::fopen(cache_file.c_str(), "rb");
-    if (ckpt == nullptr) {
-      return bench::GateFailure("no checkpoint at %s", cache_file.c_str());
-    }
-    std::fclose(ckpt);
-
-    // Second life: recover the checkpoint, then replay every request.
-    // Answers are not persisted, so each replay is evaluated again and
-    // its solves are served by the recovered entries.
-    ChildServer warm_child;
-    if (!SpawnPredictd(predictd_path, threads, &warm_child, cache_args)) {
-      return bench::GateFailure("second predictd did not start");
-    }
-    PredictClient client;
-    MRPERF_RETURN_NOT_OK(client.Connect("127.0.0.1", warm_child.port));
-    MRPERF_ASSIGN_OR_RETURN(const std::string warm_stats,
-                            client.Call(R"({"kind":"stats"})"));
-    const double recoveries =
-        StatsObjectField(warm_stats, "cache", "recoveries");
-    recovered_entries =
-        StatsObjectField(warm_stats, "cache", "recovered_entries");
-    if (recoveries != 1.0 || !(recovered_entries > 0.0)) {
-      return bench::GateFailure("recoveries %.0f, recovered_entries %.0f",
-                                recoveries, recovered_entries);
-    }
-    for (size_t i = 0; i < warm_requests.size(); ++i) {
-      Result<std::string> response = client.Call(warm_requests[i]);
-      if (!response.ok() || *response != first_responses[i]) {
-        return bench::GateFailure(
-            "replay %zu not byte-identical\n  got:  %s\n  want: %s", i,
-            response.ok() ? response->c_str()
-                          : response.status().ToString().c_str(),
-            first_responses[i].c_str());
-      }
-    }
-    warm_byte_identical = true;
-    // The replay must have been served from the recovered entries: the
-    // fresh process starts at zero hits, and Recover() only inserts.
-    MRPERF_ASSIGN_OR_RETURN(const std::string replay_stats,
-                            client.Call(R"({"kind":"stats"})"));
-    const double warm_hits = StatsObjectField(replay_stats, "cache", "hits");
-    if (!(warm_hits > 0.0)) {
-      return bench::GateFailure("no solve-cache hits after replay (%.0f)",
-                                warm_hits);
-    }
-    if (!StopChildGracefully(&warm_child)) {
-      return bench::GateFailure("second predictd did not exit 0");
-    }
-    std::printf(
-        "warm restart: %.0f entries recovered, %d replayed responses "
-        "byte-identical, %.0f warm hits\n",
-        recovered_entries, kWarmRequests, warm_hits);
-    return Status::OK();
-  });
-  std::remove(cache_file.c_str());  // the second life checkpoints too
-
-  // ---- Phases 7-9: C10k transport, QoS, metrics (fresh child) ---------
+  // ---- Phases 6-8: C10k transport, QoS, metrics (fresh child) ---------
   constexpr int kIdleConnections = 1000;
   constexpr int kActiveClients = 64;
   constexpr int kDeadlineRequests = 6;
@@ -846,7 +748,7 @@ int main(int argc, char** argv) {
     return qos_stats.Call(R"({"kind":"stats"})");
   };
 
-  // ---- Phase 7: >= 1k idle + 64 active pipelined clients --------------
+  // ---- Phase 6: >= 1k idle + 64 active pipelined clients --------------
   std::vector<IdleConn> idle(kIdleConnections);
   gates.Run("c10k", [&]() -> Status {
     MRPERF_RETURN_NOT_OK(Running(qos_child));
@@ -923,7 +825,7 @@ int main(int argc, char** argv) {
     return Status::OK();
   });
 
-  // ---- Phase 8a: interactive answers overtake queued bulk work --------
+  // ---- Phase 7a: interactive answers overtake queued bulk work --------
   // The p99s are report-only: a wall-clock comparison flips on a loaded
   // runner. The gate reads arrival order instead. Without priority the
   // interactive requests queue behind every bulk request admitted
@@ -999,7 +901,7 @@ int main(int argc, char** argv) {
     return Status::OK();
   });
 
-  // ---- Phase 8b: tiny deadlines behind a parked backlog ---------------
+  // ---- Phase 7b: tiny deadlines behind a parked backlog ---------------
   gates.Run("deadline", [&]() -> Status {
     MRPERF_RETURN_NOT_OK(Running(qos_child));
     MRPERF_ASSIGN_OR_RETURN(const std::string before, call_qos_stats());
@@ -1071,7 +973,7 @@ int main(int argc, char** argv) {
     return Status::OK();
   });
 
-  // ---- Phase 9: /metrics parses as Prometheus text exposition ---------
+  // ---- Phase 8: /metrics parses as Prometheus text exposition ---------
   gates.Run("metrics", [&]() -> Status {
     MRPERF_RETURN_NOT_OK(Running(qos_child));
     std::string status_line;
@@ -1143,10 +1045,6 @@ int main(int argc, char** argv) {
     out += ", \"speedup\": ";
     AppendJsonDouble(out, sharded_ms > 0 ? single_ms / sharded_ms : 0.0);
     out += ", \"shards_hit\": " + std::to_string(shards_hit);
-    out += "}, \"warm_restart\": {\"recovered_entries\": ";
-    AppendJsonDouble(out, recovered_entries);
-    out += ", \"byte_identical\": ";
-    out += warm_byte_identical ? "true" : "false";
     out += "}, \"c10k\": {\"idle_connections\": " +
            std::to_string(kIdleConnections) +
            ", \"active_clients\": " + std::to_string(kActiveClients) +

@@ -21,11 +21,11 @@
 
 int main(int argc, char** argv) {
   using namespace mrperf;
-  bench::BenchArgs args(argc, argv);
-  const int num_threads = args.Threads();
-  const bool show_progress = args.Progress();
-  const std::string out_path = args.OutPath();
-  const std::string json_path = args.JsonOutPath();
+  Flags args(argc, argv);
+  const int num_threads = args.IntFlag("--threads", 0);
+  const bool show_progress = args.BoolFlag("--progress");
+  const std::string out_path = args.StringFlag("--out");
+  const std::string json_path = args.StringFlag("--json-out");
   if (!args.Validate()) return 2;
 
   struct Entry {

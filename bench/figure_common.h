@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_flags.h"
+#include "common/flags.h"
 #include "engine/sweep_csv.h"
 #include "engine/sweep_grid.h"
 #include "engine/sweep_json.h"

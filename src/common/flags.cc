@@ -1,19 +1,19 @@
-#include "bench_flags.h"
+#include "common/flags.h"
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-namespace mrperf::bench {
+namespace mrperf {
 
-BenchArgs::BenchArgs(int argc, char** argv)
-    : program_(argc > 0 ? argv[0] : "bench") {
+Flags::Flags(int argc, char** argv)
+    : program_(argc > 0 ? argv[0] : "mrperf") {
   args_.reserve(static_cast<size_t>(argc > 0 ? argc - 1 : 0));
   for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
   used_.assign(args_.size(), false);
 }
 
-bool BenchArgs::Consume(const char* flag, std::string* value) {
+bool Flags::Consume(const char* flag, std::string* value) {
   const size_t len = std::strlen(flag);
   for (size_t i = 0; i < args_.size(); ++i) {
     const std::string& arg = args_[i];
@@ -33,23 +33,23 @@ bool BenchArgs::Consume(const char* flag, std::string* value) {
   return false;
 }
 
-int BenchArgs::IntFlag(const char* flag, int fallback) {
+int Flags::IntFlag(const char* flag, int fallback) {
   std::string value;
   return Consume(flag, &value) ? std::atoi(value.c_str()) : fallback;
 }
 
-double BenchArgs::DoubleFlag(const char* flag, double fallback) {
+double Flags::DoubleFlag(const char* flag, double fallback) {
   std::string value;
   return Consume(flag, &value) ? std::atof(value.c_str()) : fallback;
 }
 
-std::string BenchArgs::StringFlag(const char* flag,
-                                  const std::string& fallback) {
+std::string Flags::StringFlag(const char* flag,
+                              const std::string& fallback) {
   std::string value;
   return Consume(flag, &value) ? value : fallback;
 }
 
-bool BenchArgs::BoolFlag(const char* flag) {
+bool Flags::BoolFlag(const char* flag) {
   for (size_t i = 0; i < args_.size(); ++i) {
     if (args_[i] == flag) {
       used_[i] = true;
@@ -59,7 +59,7 @@ bool BenchArgs::BoolFlag(const char* flag) {
   return false;
 }
 
-bool BenchArgs::Validate() const {
+bool Flags::Validate() const {
   bool ok = true;
   for (size_t i = 0; i < args_.size(); ++i) {
     if (!used_[i]) {
@@ -71,4 +71,4 @@ bool BenchArgs::Validate() const {
   return ok;
 }
 
-}  // namespace mrperf::bench
+}  // namespace mrperf

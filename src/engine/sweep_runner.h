@@ -149,8 +149,7 @@ class SweepRunner {
 
   /// The shared solve cache: one lock shard per pool thread (rounded up
   /// to a power of two), SweepOptions::cache_max_entries in total. The
-  /// serving layer uses this for the checkpoint/recover lifecycle.
-  SolveCache& cache() { return cache_; }
+  /// serving layer reads its shard count for /stats.
   const SolveCache& cache() const { return cache_; }
 
   /// Shuts the worker pool down: queued evaluations drain, then any

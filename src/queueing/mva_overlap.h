@@ -128,9 +128,8 @@ struct OverlapMvaSolution {
   int iterations = 0;
   /// True when the solve ran from a caller-provided initial residence
   /// (OverlapMvaOptions::initial_residence with a matching shape).
-  /// Diagnostic only — never serialized by the cache checkpoint codec,
-  /// and always false for cached solutions (only cold solves are
-  /// cached).
+  /// Diagnostic only, and always false for cached solutions (only cold
+  /// solves are cached).
   bool warm_started = false;
 };
 

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "queueing/cache_checkpoint.h"
 #include "queueing/mva_kernel.h"
 
 namespace mrperf {
@@ -243,7 +242,7 @@ MvaCacheStats SolveCache::shard_stats(int index) const {
 }
 
 MvaCacheStats SolveCache::stats() const {
-  MvaCacheStats total = Lifecycle();
+  MvaCacheStats total = Effort();
   for (int i = 0; i < shard_count(); ++i) {
     AddShardCounters(shard_stats(i), &total);
   }
@@ -251,7 +250,7 @@ MvaCacheStats SolveCache::stats() const {
 }
 
 MvaCacheStats SolveCache::ResetStats() {
-  MvaCacheStats total = Lifecycle();
+  MvaCacheStats total = Effort();
   for (Shard& shard : shards_) {
     MutexLock lock(shard.mu);
     AddShardCounters(shard.window, &total);
@@ -261,53 +260,15 @@ MvaCacheStats SolveCache::ResetStats() {
   return total;
 }
 
-Status SolveCache::Checkpoint(const std::string& path) {
-  std::vector<CacheCheckpointEntry> entries;
-  entries.reserve(static_cast<size_t>(stats().size));
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    // Walk back-to-front: least-recently-used first, the order the
-    // checkpoint codec persists.
-    for (auto it = shard.lru.rbegin(); it != shard.lru.rend(); ++it) {
-      entries.push_back(
-          CacheCheckpointEntry{*it, shard.entries.at(*it).solution});
-    }
-  }
-  MRPERF_RETURN_NOT_OK(WriteCacheCheckpoint(path, entries));
-  {
-    MutexLock lock(lifecycle_mu_);
-    ++lifecycle_.checkpoints;
-    lifecycle_.checkpoint_entries += static_cast<int64_t>(entries.size());
-  }
-  return Status::OK();
-}
-
-Status SolveCache::Recover(const std::string& path) {
-  MRPERF_ASSIGN_OR_RETURN(std::vector<CacheCheckpointEntry> entries,
-                          ReadCacheCheckpoint(path));
-  // Replay in file order (LRU first): when the checkpoint exceeds this
-  // cache's cap, the inserts evict the oldest checkpoint entries and
-  // the most-recently-used survive.
-  for (CacheCheckpointEntry& entry : entries) {
-    Insert(entry.key, entry.solution);
-  }
-  {
-    MutexLock lock(lifecycle_mu_);
-    ++lifecycle_.recoveries;
-    lifecycle_.recovered_entries += static_cast<int64_t>(entries.size());
-  }
-  return Status::OK();
-}
-
 void SolveCache::RecordSolve(int iterations) {
-  MutexLock lock(lifecycle_mu_);
-  ++lifecycle_.solves;
-  lifecycle_.solve_iterations += iterations;
+  MutexLock lock(effort_mu_);
+  ++effort_.solves;
+  effort_.solve_iterations += iterations;
 }
 
-MvaCacheStats SolveCache::Lifecycle() const {
-  MutexLock lock(lifecycle_mu_);
-  return lifecycle_;
+MvaCacheStats SolveCache::Effort() const {
+  MutexLock lock(effort_mu_);
+  return effort_;
 }
 
 std::unique_ptr<SolveCache> MakeSolveCache(int shards, int64_t max_entries) {

@@ -11,24 +11,14 @@
 /// duplicate networks. Since SolveOverlapMva is a pure function of
 /// (problem, options), keys are the exact packed bytes of that pair, so
 /// a hit is bit-identical to recomputation. That invariant is what
-/// makes every operation here — sharding, eviction, checkpointing a
-/// cache to disk and recovering it in another process — unable to
-/// perturb any result: the worst a cache can do is recompute.
+/// makes every operation here — sharding, eviction — unable to perturb
+/// any result: the worst a cache can do is recompute.
 ///
 /// **Shards.** Entries live in N independently locked LRU shards
 /// selected by key hash, so concurrent solves of different keys do not
 /// contend on one lock. A SweepRunner sizes N from its worker pool —
 /// the only threads that solve through the cache — and one shard is a
 /// single mutex-protected LRU.
-///
-/// **Checkpoint / recover.** `Checkpoint(path)` serializes the resident
-/// (key, class-granularity solution) entries to a length-prefixed,
-/// CRC-guarded, versioned binary file (cache_checkpoint.h);
-/// `Recover(path)` replays such a file through `Insert`, so a restarted
-/// server starts warm. Entries are written least-recently-used first,
-/// which makes a recover into a smaller cache evict exactly the oldest
-/// entries. Corrupt, truncated or version-mismatched files are reported
-/// as an error Status — callers log and continue cold, never crash.
 
 #pragma once
 
@@ -48,7 +38,7 @@ namespace mrperf {
 /// \brief Cache counter snapshot.
 ///
 /// `hits/misses/insertions/evictions` are window counters (ResetStats
-/// restarts them); `size` and the lifecycle counters below always
+/// restarts them); `size` and the solver-effort counters below always
 /// reflect cumulative-since-construction state, like a gauge.
 struct MvaCacheStats {
   int64_t hits = 0;
@@ -59,17 +49,10 @@ struct MvaCacheStats {
   /// Entries currently resident.
   int64_t size = 0;
 
-  /// Checkpoint files written / entries serialized across them.
-  int64_t checkpoints = 0;
-  int64_t checkpoint_entries = 0;
-  /// Successful Recover() replays / entries restored across them.
-  int64_t recoveries = 0;
-  int64_t recovered_entries = 0;
   /// Fixed-point solves SolveThrough actually executed (one per
   /// successful miss — hits run zero iterations and are not counted)
-  /// and the cumulative damped sweeps they performed. Lifecycle gauges
-  /// like the counters above; the denominator behind every "iterations
-  /// saved by caching" number.
+  /// and the cumulative damped sweeps they performed. Cumulative gauges;
+  /// the denominator behind every "iterations saved by caching" number.
   int64_t solves = 0;
   int64_t solve_iterations = 0;
 
@@ -134,7 +117,7 @@ class SolveCache {
   void Insert(const std::string& key, const OverlapMvaSolution& solution);
 
   /// Counter snapshot: the sum of the per-shard snapshots plus the
-  /// lifecycle counters. Each shard is read in one critical section, so
+  /// solver-effort counters. Each shard is read in one critical section, so
   /// `size == insertions - evictions` holds for every snapshot (and for
   /// the sum, because each shard's triple is internally consistent
   /// whatever moment it was read at).
@@ -142,7 +125,7 @@ class SolveCache {
 
   /// Snapshots and resets the window counters (hits, misses,
   /// insertions, evictions) while leaving every entry resident and the
-  /// gauge fields (`size`, lifecycle counters) untouched, returning the
+  /// gauge fields (`size`, solver effort) untouched, returning the
   /// closed window. Per shard the snapshot-and-reset is atomic, so
   /// every concurrent lookup lands in exactly one window — none lost,
   /// none double-counted.
@@ -153,7 +136,7 @@ class SolveCache {
 
   /// Window counters and size of shard `index` alone
   /// (0 <= index < shard_count()); stats() is their sum plus the
-  /// lifecycle counters. Shows how keys spread over the shards.
+  /// solver-effort counters. Shows how keys spread over the shards.
   MvaCacheStats shard_stats(int index) const;
 
   /// Convenience wrapper: lookup, else solve and insert. Forwards solver
@@ -185,24 +168,6 @@ class SolveCache {
       const OverlapMvaOptions& options, MvaKernelScratch* scratch = nullptr,
       SolveThroughInfo* info = nullptr);
 
-  /// Serializes the resident entries to `path` (written atomically:
-  /// temp file + rename, so a crash mid-checkpoint never corrupts an
-  /// existing checkpoint). Shards are walked in index order, each
-  /// least-recently-used first under its lock. Entries inserted
-  /// concurrently with the export may or may not be included; every
-  /// included entry is a consistent (key, solution) pair.
-  Status Checkpoint(const std::string& path);
-
-  /// Replays a checkpoint file through Insert, warming this cache.
-  /// Existing entries keep priority (duplicate keys are no-ops); when
-  /// the file holds more entries than a shard holds, the entries
-  /// replayed first — the least recently used of their source shard —
-  /// are the ones dropped. Errors (missing, truncated, CRC-mismatched or
-  /// version-mismatched files) leave the cache in its pre-call state
-  /// semantically: whatever was replayed is still just a memo. Callers
-  /// should log the error and continue cold.
-  Status Recover(const std::string& path);
-
  private:
   /// One independently locked LRU map.
   struct Shard {
@@ -224,17 +189,17 @@ class SolveCache {
 
   Shard& ShardFor(const std::string& key);
 
-  /// The lifecycle counters (their window fields stay zero).
-  MvaCacheStats Lifecycle() const;
+  /// The solver-effort counters (their window fields stay zero).
+  MvaCacheStats Effort() const;
 
-  /// Folds one executed fixed-point solve into the lifecycle gauges.
+  /// Folds one executed fixed-point solve into the solver-effort gauges.
   void RecordSolve(int iterations);
 
   /// Sized once at construction (a power of two); never resized.
   std::vector<Shard> shards_;
 
-  mutable Mutex lifecycle_mu_;
-  MvaCacheStats lifecycle_ GUARDED_BY(lifecycle_mu_);
+  mutable Mutex effort_mu_;
+  MvaCacheStats effort_ GUARDED_BY(effort_mu_);
 };
 
 /// \brief Heap-allocated `SolveCache(shards, max_entries)`.

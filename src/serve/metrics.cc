@@ -237,12 +237,6 @@ std::string FormatPrometheusMetrics(const ServeStatsSnapshot& s) {
   AppendCounterFamily(out, "predictd_cache_solve_iterations_total",
                       "Damped-sweep iterations across executed solves.",
                       s.cache.solve_iterations);
-  AppendCounterFamily(out, "predictd_cache_checkpoints_total",
-                      "Cache checkpoints written on drain.",
-                      s.cache.checkpoints);
-  AppendCounterFamily(out, "predictd_cache_recoveries_total",
-                      "Cache recoveries replayed on boot.",
-                      s.cache.recoveries);
 
   AppendLatencyHistogram(out, "predictd_request_latency_milliseconds", s);
   return out;

@@ -1,7 +1,6 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 namespace mrperf {
@@ -25,9 +24,9 @@ SweepOptions SweepOptionsFor(const PredictServiceOptions& options) {
 }
 
 /// Cumulative cache stats: the window snapshot, which already carries
-/// every gauge (resident size, the checkpoint/recover lifecycle, solver
-/// effort), plus the window counters folded from closed windows. Only
-/// `folded`'s window counters are read.
+/// every gauge (resident size, solver effort), plus the window counters
+/// folded from closed windows. Only `folded`'s window counters are
+/// read.
 MvaCacheStats SumCacheStats(const MvaCacheStats& folded,
                             const MvaCacheStats& window) {
   MvaCacheStats total = window;
@@ -64,26 +63,6 @@ PredictService::PredictService(PredictServiceOptions options)
     : options_(std::move(options)),
       runner_(SweepOptionsFor(options_)),
       answers_(options_.cache_max_entries) {
-  if (!options_.cache_file.empty()) {
-    const Status recovered = runner_.cache().Recover(options_.cache_file);
-    if (recovered.ok()) {
-      std::fprintf(stderr,
-                   "predict-service: recovered %lld cache entries from %s\n",
-                   static_cast<long long>(runner_.cache_stats().size),
-                   options_.cache_file.c_str());
-    } else if (recovered.code() == StatusCode::kNotFound) {
-      // First boot: nothing to recover yet, the drain will write one.
-      std::fprintf(stderr,
-                   "predict-service: no cache checkpoint at %s, "
-                   "starting cold\n",
-                   options_.cache_file.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "predict-service: cache recovery failed (%s), "
-                   "starting cold\n",
-                   recovered.ToString().c_str());
-    }
-  }
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
 }
 
@@ -471,21 +450,6 @@ void PredictService::Drain() {
   BeginDrain();
   MutexLock lock(drain_mu_);
   if (dispatcher_.joinable()) dispatcher_.join();
-  // Checkpoint after the dispatcher exits: every admitted evaluation
-  // has been inserted, so the file captures the full working set.
-  if (!options_.cache_file.empty() && !checkpointed_) {
-    checkpointed_ = true;
-    const Status written = runner_.cache().Checkpoint(options_.cache_file);
-    if (written.ok()) {
-      std::fprintf(stderr,
-                   "predict-service: checkpointed %lld cache entries to %s\n",
-                   static_cast<long long>(runner_.cache_stats().size),
-                   options_.cache_file.c_str());
-    } else {
-      std::fprintf(stderr, "predict-service: cache checkpoint failed (%s)\n",
-                   written.ToString().c_str());
-    }
-  }
 }
 
 void PredictService::ShutdownWorkerPool() { runner_.Shutdown(); }

@@ -40,16 +40,10 @@
 ///    either coalesces or hits: it is never evaluated twice. Only ok
 ///    results are stored, LRU-bounded by `cache_max_entries`.
 ///  - **Shared solver state.** One process-wide SolveCache (inside the
-///    runner, sharded by default — serving fan-in would contend on a
-///    single lock) memoizes the A4 overlap-MVA solves of the requests
-///    the response cache cannot answer; per-worker kernel scratch is
-///    reused across requests as in batch sweeps.
-///  - **Warm restarts.** With `cache_file` configured, Drain()
-///    checkpoints the resident solve-cache entries to disk and the next
-///    boot recovers them, so a restarted server re-solves less of its
-///    steady-state working set. Answers are not persisted: the response
-///    cache starts empty on every boot. A missing/corrupt file is
-///    logged and served cold — never fatal.
+///    runner, one lock shard per worker) memoizes the A4 overlap-MVA
+///    solves of the requests the response cache cannot answer;
+///    per-worker kernel scratch is reused across requests as in batch
+///    sweeps.
 ///
 /// Determinism: request seeds are carried by the request itself
 /// (TaskForRequest pins derive_seed off), so a response is
@@ -105,10 +99,6 @@ struct PredictServiceOptions {
   /// Resident-entry cap of the solve cache and, separately, of the
   /// response cache (each LRU, minimum 1).
   int64_t cache_max_entries = 4096;
-  /// When nonempty: recover the solve cache from this checkpoint file
-  /// at construction (cold start + warning log if missing or invalid)
-  /// and checkpoint the resident entries back on Drain().
-  std::string cache_file;
   /// Base evaluation options; per-request seed/repetitions override
   /// these (see TaskForRequest). The profile configured here is what an
   /// unset/"default" request profile resolves to. Defaults to the
@@ -298,9 +288,6 @@ class PredictService {
   /// it must never be acquired under mu_ (the dispatcher needs mu_ to
   /// make progress toward exiting).
   Mutex drain_mu_ ACQUIRED_BEFORE(mu_);
-  /// Whether the drain-time cache checkpoint ran (Drain is idempotent,
-  /// the checkpoint must be too).
-  bool checkpointed_ GUARDED_BY(drain_mu_) = false;
   std::thread dispatcher_;
 
   mutable Mutex stats_mu_;

@@ -73,9 +73,9 @@ double LatencyHistogram::PercentileMs(double p) const {
 namespace {
 
 /// With `shards >= 1` (the cumulative "cache" object) the shard count
-/// and checkpoint/recover lifecycle gauges are included; the
-/// window-scoped "cache_window" object omits them (they are cumulative
-/// gauges, never window counters).
+/// and solver-effort gauges are included; the window-scoped
+/// "cache_window" object omits them (they are cumulative gauges, never
+/// window counters).
 void AppendCacheJson(std::string& out, const char* key,
                      const MvaCacheStats& cache, int shards = 0) {
   char buf[512];
@@ -91,15 +91,9 @@ void AppendCacheJson(std::string& out, const char* key,
   out += buf;
   if (shards >= 1) {
     std::snprintf(buf, sizeof(buf),
-                  "\"shards\": %d, \"checkpoints\": %lld, "
-                  "\"checkpoint_entries\": %lld, \"recoveries\": %lld, "
-                  "\"recovered_entries\": %lld, \"solves\": %lld, "
+                  "\"shards\": %d, \"solves\": %lld, "
                   "\"solve_iterations\": %lld, ",
-                  shards, static_cast<long long>(cache.checkpoints),
-                  static_cast<long long>(cache.checkpoint_entries),
-                  static_cast<long long>(cache.recoveries),
-                  static_cast<long long>(cache.recovered_entries),
-                  static_cast<long long>(cache.solves),
+                  shards, static_cast<long long>(cache.solves),
                   static_cast<long long>(cache.solve_iterations));
     out += buf;
   }

@@ -158,8 +158,8 @@ struct ServeStatsSnapshot {
   /// Answers served without evaluating (the response cache).
   ResponseCacheStats response_cache;
 
-  /// Shared MVA-solve cache, cumulative since startup. Includes the
-  /// checkpoint/recover lifecycle counters (warm-restart observability).
+  /// Shared MVA-solve cache, cumulative since startup, including the
+  /// solver-effort gauges.
   MvaCacheStats cache;
   /// Same counters since the last {"kind":"stats","reset_window":true}.
   MvaCacheStats cache_window;

@@ -36,8 +36,6 @@ ServeStatsSnapshot PopulatedSnapshot() {
   snapshot.cache.evictions = 5;
   snapshot.cache.solves = 20;
   snapshot.cache.solve_iterations = 600;
-  snapshot.cache.checkpoints = 1;
-  snapshot.cache.recoveries = 1;
   snapshot.cache_shards = 8;
   snapshot.response_cache.hits = 60;
   snapshot.response_cache.misses = 40;
@@ -94,6 +92,12 @@ TEST(PrometheusMetricsTest, ExpositionValidatesAndCarriesCoreFamilies) {
     EXPECT_NE(body.find(needle), std::string::npos)
         << "missing: " << needle << "\n"
         << body;
+  }
+  // No cache state is persisted, so there are no checkpoint/recover
+  // families.
+  for (const char* removed : {"predictd_cache_checkpoints_total",
+                              "predictd_cache_recoveries_total"}) {
+    EXPECT_EQ(body.find(removed), std::string::npos) << removed;
   }
 }
 

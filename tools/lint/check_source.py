@@ -19,8 +19,7 @@ Checks enforced (see README "Correctness tooling"):
                    -Wthread-safety and a standing TSan hazard.
   double-format    printf-family conversions of doubles in src/ use
                    %.17g, the round-trip-exact format every serializer
-                   (sweep CSV/JSON, cache checkpoints, serve responses)
-                   standardizes on.
+                   (sweep CSV/JSON, serve responses) standardizes on.
   raw-mutex        `std::mutex` / `std::lock_guard` / `std::unique_lock`
                    / `std::condition_variable` are banned in src/
                    outside common/thread_annotations.h; use the

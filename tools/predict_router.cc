@@ -13,7 +13,8 @@
 /// ephemeral; the bound port is printed), --host=A (default
 /// 127.0.0.1), --event-loop-threads=N, --virtual-nodes=N,
 /// --probe-interval-ms=N, --probe-timeout-ms=N, --failure-threshold=N,
-/// --metrics=0|1, --verbose.
+/// --metrics=0|1, --verbose; `--flag value` works too, and an unknown
+/// flag exits 2.
 ///
 /// Example session:
 ///   $ ./predictd --port=7171 & ./predictd --port=7172 &
@@ -25,10 +26,10 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "fleet/router.h"
 
@@ -43,34 +44,6 @@ extern "C" void HandleShutdownSignal(int signo) {
   // write() is async-signal-safe; a full pipe just means a shutdown is
   // already pending.
   [[maybe_unused]] ssize_t n = write(g_signal_pipe[1], &byte, 1);
-}
-
-int IntFlag(int argc, char** argv, const char* flag, int fallback) {
-  const size_t len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=') {
-      return std::atoi(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-std::string StringFlag(int argc, char** argv, const char* flag,
-                       const std::string& fallback) {
-  const size_t len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
 }
 
 /// Raise the fd soft limit to the hard limit: the router carries both
@@ -89,7 +62,8 @@ void RaiseFdLimit() {
 int main(int argc, char** argv) {
   using namespace mrperf;
 
-  if (HasFlag(argc, argv, "--help")) {
+  Flags flags(argc, argv);
+  if (flags.BoolFlag("--help")) {
     std::printf(
         "predict-router: consistent-hash fleet router for predictd\n"
         "  --replicas=H:P,...  the fleet, in ring order (required)\n"
@@ -106,27 +80,26 @@ int main(int argc, char** argv) {
         "  --verbose      info-level logging\n");
     return 0;
   }
-  if (HasFlag(argc, argv, "--verbose")) {
-    Logger::SetLevel(LogLevel::kInfo);
-  }
+  if (flags.BoolFlag("--verbose")) Logger::SetLevel(LogLevel::kInfo);
 
   FleetRouterOptions options;
-  options.host = StringFlag(argc, argv, "--host", options.host);
-  options.port = IntFlag(argc, argv, "--port", options.port);
-  options.event_loop_threads = IntFlag(argc, argv, "--event-loop-threads",
-                                       options.event_loop_threads);
+  options.host = flags.StringFlag("--host", options.host);
+  options.port = flags.IntFlag("--port", options.port);
+  options.event_loop_threads =
+      flags.IntFlag("--event-loop-threads", options.event_loop_threads);
   options.virtual_nodes =
-      IntFlag(argc, argv, "--virtual-nodes", options.virtual_nodes);
+      flags.IntFlag("--virtual-nodes", options.virtual_nodes);
   options.enable_metrics =
-      IntFlag(argc, argv, "--metrics", options.enable_metrics ? 1 : 0) != 0;
-  options.membership.probe_interval_ms = IntFlag(
-      argc, argv, "--probe-interval-ms", options.membership.probe_interval_ms);
-  options.membership.probe_timeout_ms = IntFlag(
-      argc, argv, "--probe-timeout-ms", options.membership.probe_timeout_ms);
-  options.membership.failure_threshold = IntFlag(
-      argc, argv, "--failure-threshold", options.membership.failure_threshold);
+      flags.IntFlag("--metrics", options.enable_metrics ? 1 : 0) != 0;
+  options.membership.probe_interval_ms = flags.IntFlag(
+      "--probe-interval-ms", options.membership.probe_interval_ms);
+  options.membership.probe_timeout_ms = flags.IntFlag(
+      "--probe-timeout-ms", options.membership.probe_timeout_ms);
+  options.membership.failure_threshold = flags.IntFlag(
+      "--failure-threshold", options.membership.failure_threshold);
+  const std::string replica_spec = flags.StringFlag("--replicas");
+  if (!flags.Validate()) return 2;
 
-  const std::string replica_spec = StringFlag(argc, argv, "--replicas", "");
   if (replica_spec.empty()) {
     std::fprintf(stderr,
                  "predict-router: --replicas=host:port,... is required\n");

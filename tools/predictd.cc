@@ -14,10 +14,9 @@
 /// they carry is independent of this budget), --max-queue=N, --batch=N,
 /// --quota-rps=N (per-client token-bucket rate limit; 0 = off),
 /// --metrics=0|1 (HTTP GET /metrics and /stats on the listen port),
-/// --cache-file=PATH (checkpoint the solve cache on drain, recover it
-/// on boot — warm restarts; answers are not persisted), --verbose. The
-/// solve cache has one lock shard per worker, rounded up to a power of
-/// two.
+/// --replica-id=S, --verbose; `--flag value` works too, and an unknown
+/// flag exits 2. The solve cache has one lock shard per worker, rounded
+/// up to a power of two.
 ///
 /// Example session:
 ///   $ ./predictd --port=7077 &
@@ -27,12 +26,12 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include "common/flags.h"
 #include "common/logging.h"
 #include "serve/server.h"
 #include "serve/stats.h"
@@ -48,34 +47,6 @@ extern "C" void HandleShutdownSignal(int signo) {
   // write() is async-signal-safe; a full pipe just means a shutdown is
   // already pending.
   [[maybe_unused]] ssize_t n = write(g_signal_pipe[1], &byte, 1);
-}
-
-int IntFlag(int argc, char** argv, const char* flag, int fallback) {
-  const size_t len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=') {
-      return std::atoi(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-std::string StringFlag(int argc, char** argv, const char* flag,
-                       const std::string& fallback) {
-  const size_t len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], flag, len) == 0 && argv[i][len] == '=') {
-      return std::string(argv[i] + len + 1);
-    }
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
 }
 
 /// Raise the fd soft limit to the hard limit: with an event-loop
@@ -96,7 +67,8 @@ void RaiseFdLimit() {
 int main(int argc, char** argv) {
   using namespace mrperf;
 
-  if (HasFlag(argc, argv, "--help")) {
+  Flags flags(argc, argv);
+  if (flags.BoolFlag("--help")) {
     std::printf(
         "predictd: online MapReduce performance prediction service\n"
         "  --port=N       TCP port (default 0 = ephemeral, printed)\n"
@@ -110,36 +82,29 @@ int main(int argc, char** argv) {
         "                    bucket per peer address; default 0 = off)\n"
         "  --metrics=0|1  HTTP GET /metrics (Prometheus text) and\n"
         "                    /stats on the listen port (default 1)\n"
-        "  --cache-file=PATH checkpoint the solve cache here on drain\n"
-        "                    and recover it on the next boot (answers\n"
-        "                    are not persisted)\n"
         "  --replica-id=S identity label surfaced in /stats and as the\n"
         "                    predictd_replica_info metric label\n"
         "  --verbose      info-level logging\n");
     return 0;
   }
-  if (HasFlag(argc, argv, "--verbose")) {
-    Logger::SetLevel(LogLevel::kInfo);
-  }
+  if (flags.BoolFlag("--verbose")) Logger::SetLevel(LogLevel::kInfo);
 
   PredictServerOptions options;
-  options.host = StringFlag(argc, argv, "--host", options.host);
-  options.port = IntFlag(argc, argv, "--port", options.port);
-  options.event_loop_threads = IntFlag(argc, argv, "--event-loop-threads",
-                                       options.event_loop_threads);
+  options.host = flags.StringFlag("--host", options.host);
+  options.port = flags.IntFlag("--port", options.port);
+  options.event_loop_threads =
+      flags.IntFlag("--event-loop-threads", options.event_loop_threads);
   options.enable_metrics =
-      IntFlag(argc, argv, "--metrics", options.enable_metrics ? 1 : 0) != 0;
-  options.service.quota_rps = IntFlag(
-      argc, argv, "--quota-rps", static_cast<int>(options.service.quota_rps));
-  options.service.num_threads = IntFlag(argc, argv, "--threads", 0);
+      flags.IntFlag("--metrics", options.enable_metrics ? 1 : 0) != 0;
+  options.service.quota_rps = flags.IntFlag(
+      "--quota-rps", static_cast<int>(options.service.quota_rps));
+  options.service.num_threads = flags.IntFlag("--threads", 0);
   options.service.max_queue =
-      IntFlag(argc, argv, "--max-queue", options.service.max_queue);
+      flags.IntFlag("--max-queue", options.service.max_queue);
   options.service.max_batch =
-      IntFlag(argc, argv, "--batch", options.service.max_batch);
-  options.service.cache_file =
-      StringFlag(argc, argv, "--cache-file", options.service.cache_file);
-  options.replica_id =
-      StringFlag(argc, argv, "--replica-id", options.replica_id);
+      flags.IntFlag("--batch", options.service.max_batch);
+  options.replica_id = flags.StringFlag("--replica-id", options.replica_id);
+  if (!flags.Validate()) return 2;
 
   RaiseFdLimit();
 
