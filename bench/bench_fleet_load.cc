@@ -35,25 +35,19 @@
 /// connection in the failover load (default 16), --json-out=PATH,
 /// --smoke (CI sizing).
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/flags.h"
-#include "gate_table.h"
 #include "common/statistics.h"
+#include "daemon_child.h"
 #include "engine/sweep_format.h"
 #include "fleet/scatter.h"
+#include "gate_table.h"
 #include "serve/client.h"
 #include "serve/json.h"
 #include "serve/metrics.h"
@@ -61,95 +55,12 @@
 namespace {
 
 using namespace mrperf;
+using bench::DaemonChild;
+using bench::HttpGet;
+using bench::SpawnChild;
+using bench::StatsField;
+using bench::StopChildGracefully;
 using SteadyClock = std::chrono::steady_clock;
-
-/// A spawned child process. The destructor SIGKILLs and reaps one that
-/// is still running, so no exit path leaks it.
-struct Child {
-  pid_t pid = -1;
-  int port = 0;
-
-  Child() = default;
-  Child(const Child&) = delete;
-  Child& operator=(const Child&) = delete;
-  ~Child() { Kill(); }
-
-  void Kill() {
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-      pid = -1;
-    }
-  }
-};
-
-/// Forks `path` with `args`, reads the first stdout line and parses
-/// the bound port out of `banner_format` (which must contain one %d).
-bool SpawnChild(const std::string& path, const std::vector<std::string>& args,
-                const char* banner_format, Child* child) {
-  int out_pipe[2];
-  if (pipe(out_pipe) != 0) {
-    std::fprintf(stderr, "pipe() failed: %s\n", std::strerror(errno));
-    return false;
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "fork() failed: %s\n", std::strerror(errno));
-    return false;
-  }
-  if (pid == 0) {
-    dup2(out_pipe[1], STDOUT_FILENO);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
-    std::vector<char*> argv_exec;
-    argv_exec.push_back(const_cast<char*>(path.c_str()));
-    for (const std::string& arg : args) {
-      argv_exec.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv_exec.push_back(nullptr);
-    execv(path.c_str(), argv_exec.data());
-    std::fprintf(stderr, "execv(%s) failed: %s\n", path.c_str(),
-                 std::strerror(errno));
-    _exit(127);
-  }
-  close(out_pipe[1]);
-  std::string line;
-  char c;
-  while (read(out_pipe[0], &c, 1) == 1 && c != '\n') line += c;
-  close(out_pipe[0]);
-  int port = 0;
-  if (std::sscanf(line.c_str(), banner_format, &port) != 1 || port <= 0) {
-    std::fprintf(stderr, "unexpected banner from %s: '%s'\n", path.c_str(),
-                 line.c_str());
-    kill(pid, SIGKILL);
-    waitpid(pid, nullptr, 0);
-    return false;
-  }
-  child->pid = pid;
-  child->port = port;
-  return true;
-}
-
-/// SIGTERMs `child` and reaps it; true iff it drained and exited 0.
-bool StopChildGracefully(Child* child) {
-  if (child->pid <= 0) return false;
-  kill(child->pid, SIGTERM);
-  int wait_status = 0;
-  const bool ok = waitpid(child->pid, &wait_status, 0) == child->pid &&
-                  WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == 0;
-  child->pid = -1;
-  return ok;
-}
-
-/// Extracts stats.<key> from a replica's stats response line.
-double StatsField(const std::string& response, const std::string& key) {
-  Result<JsonValue> parsed = ParseJson(response);
-  if (!parsed.ok()) return -1.0;
-  const JsonValue* stats = parsed->Find("stats");
-  const JsonValue* field = stats ? stats->Find(key) : nullptr;
-  if (field == nullptr || !field->is_number()) return -1.0;
-  return field->number_value();
-}
 
 double ReplicaStat(int port, const std::string& key) {
   PredictClient client;
@@ -163,35 +74,6 @@ std::string PredictLine(const std::string& id, int nodes, int seed) {
   return R"({"id":")" + id + R"(","nodes":)" + std::to_string(nodes) +
          R"(,"input_gb":0.25,"repetitions":1,"seed":)" +
          std::to_string(seed) + "}";
-}
-
-/// Minimal HTTP GET (the router serves /metrics and /stats one-shot).
-bool HttpGet(int port, const std::string& path, std::string* status_line,
-             std::string* body) {
-  PredictClient client;
-  if (!client.Connect("127.0.0.1", port).ok()) return false;
-  if (!client.SendLine("GET " + path + " HTTP/1.1").ok()) return false;
-  if (!client.SendLine("Host: localhost").ok()) return false;
-  if (!client.SendLine("").ok()) return false;
-  std::vector<std::string> lines;
-  for (;;) {
-    Result<std::string> line = client.ReadLine();
-    if (!line.ok()) break;
-    std::string text = *line;
-    if (!text.empty() && text.back() == '\r') text.pop_back();
-    lines.push_back(text);
-  }
-  if (lines.empty()) return false;
-  *status_line = lines[0];
-  size_t at = 1;
-  while (at < lines.size() && !lines[at].empty()) ++at;
-  ++at;
-  body->clear();
-  for (; at < lines.size(); ++at) {
-    *body += lines[at];
-    *body += '\n';
-  }
-  return true;
 }
 
 }  // namespace
@@ -210,8 +92,8 @@ int main(int argc, char** argv) {
   if (!args.Validate()) return 2;
 
   constexpr int kReplicas = 3;
-  std::vector<Child> replicas(kReplicas);
-  Child router;
+  std::vector<DaemonChild> replicas(kReplicas);
+  DaemonChild router;
   bool fleet_up = true;
   for (int i = 0; i < kReplicas && fleet_up; ++i) {
     fleet_up = SpawnChild(predictd_path,
@@ -318,14 +200,14 @@ int main(int argc, char** argv) {
       return bench::GateFailure("no sweep answer to repeat");
     }
     double evals_before = 0.0;
-    for (const Child& replica : replicas) {
+    for (const DaemonChild& replica : replicas) {
       evals_before += ReplicaStat(replica.port, "evaluations_total");
     }
     PredictClient via_router;
     MRPERF_RETURN_NOT_OK(via_router.Connect("127.0.0.1", router.port));
     MRPERF_ASSIGN_OR_RETURN(const std::string again, via_router.Call(sweep));
     double evals_after = 0.0;
-    for (const Child& replica : replicas) {
+    for (const DaemonChild& replica : replicas) {
       evals_after += ReplicaStat(replica.port, "evaluations_total");
     }
     repeat_evaluations = evals_after - evals_before;

@@ -59,23 +59,21 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <signal.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/statistics.h"
+#include "daemon_child.h"
 #include "engine/sweep_format.h"
 #include "engine/sweep_runner.h"
 #include "figure_common.h"
@@ -89,88 +87,20 @@
 namespace {
 
 using namespace mrperf;
+using bench::DaemonChild;
+using bench::HttpGet;
+using bench::StatsField;
+using bench::StopChildGracefully;
 using SteadyClock = std::chrono::steady_clock;
 
-/// A spawned predictd. The destructor SIGKILLs and reaps a child that
-/// is still running, so no exit path of a phase leaks one.
-struct ChildServer {
-  pid_t pid = -1;
-  int port = 0;
-
-  ChildServer() = default;
-  ChildServer(const ChildServer&) = delete;
-  ChildServer& operator=(const ChildServer&) = delete;
-  ~ChildServer() { Kill(); }
-
-  void Kill() {
-    if (pid > 0) {
-      kill(pid, SIGKILL);
-      waitpid(pid, nullptr, 0);
-      pid = -1;
-    }
-  }
-};
-
-bool SpawnPredictd(const std::string& path, int threads, ChildServer* child,
+/// Spawns `path --port=0 --threads=N extra_args...`.
+bool SpawnPredictd(const std::string& path, int threads, DaemonChild* child,
                    const std::vector<std::string>& extra_args = {}) {
-  int out_pipe[2];
-  if (pipe(out_pipe) != 0) {
-    std::fprintf(stderr, "pipe() failed: %s\n", std::strerror(errno));
-    return false;
-  }
-  const pid_t pid = fork();
-  if (pid < 0) {
-    std::fprintf(stderr, "fork() failed: %s\n", std::strerror(errno));
-    return false;
-  }
-  if (pid == 0) {
-    dup2(out_pipe[1], STDOUT_FILENO);
-    close(out_pipe[0]);
-    close(out_pipe[1]);
-    const std::string threads_flag = "--threads=" + std::to_string(threads);
-    std::vector<char*> argv_exec;
-    argv_exec.push_back(const_cast<char*>(path.c_str()));
-    argv_exec.push_back(const_cast<char*>("--port=0"));
-    argv_exec.push_back(const_cast<char*>(threads_flag.c_str()));
-    for (const std::string& arg : extra_args) {
-      argv_exec.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv_exec.push_back(nullptr);
-    execv(path.c_str(), argv_exec.data());
-    std::fprintf(stderr, "execv(%s) failed: %s\n", path.c_str(),
-                 std::strerror(errno));
-    _exit(127);
-  }
-  close(out_pipe[1]);
-  // First stdout line announces the bound port.
-  std::string line;
-  char c;
-  while (read(out_pipe[0], &c, 1) == 1 && c != '\n') line += c;
-  close(out_pipe[0]);
-  int port = 0;
-  if (std::sscanf(line.c_str(), "predictd listening on 127.0.0.1:%d",
-                  &port) != 1 ||
-      port <= 0) {
-    std::fprintf(stderr, "unexpected predictd banner: '%s'\n",
-                 line.c_str());
-    kill(pid, SIGKILL);
-    waitpid(pid, nullptr, 0);
-    return false;
-  }
-  child->pid = pid;
-  child->port = port;
-  return true;
-}
-
-/// Extracts stats.<key> from a stats response line.
-double StatsField(const std::string& response, const std::string& key) {
-  Result<JsonValue> parsed = ParseJson(response);
-  if (!parsed.ok()) return -1.0;
-  const JsonValue* stats = parsed->Find("stats");
-  if (stats == nullptr) return -1.0;
-  const JsonValue* field = stats->Find(key);
-  if (field == nullptr || !field->is_number()) return -1.0;
-  return field->number_value();
+  std::vector<std::string> args = {"--port=0",
+                                   "--threads=" + std::to_string(threads)};
+  args.insert(args.end(), extra_args.begin(), extra_args.end());
+  return bench::SpawnChild(path, args, "predictd listening on 127.0.0.1:%d",
+                           child);
 }
 
 /// Extracts stats.<object>.<key>, e.g. ("cache", "hits") or
@@ -240,31 +170,9 @@ bool OfflineExpectedResponses(const std::vector<std::string>& lines,
 }
 
 /// OK while `child` runs: a phase that needs it fails cleanly without.
-Status Running(const ChildServer& child) {
+Status Running(const DaemonChild& child) {
   return child.pid > 0 ? Status::OK()
                        : Status::Unavailable("predictd is not running");
-}
-
-/// SIGTERMs `child` and reaps it; true iff it drained and exited 0.
-bool StopChildGracefully(ChildServer* child) {
-  if (child->pid <= 0) return false;
-  kill(child->pid, SIGTERM);
-  int wait_status = 0;
-  const bool ok = waitpid(child->pid, &wait_status, 0) == child->pid &&
-                  WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == 0;
-  child->pid = -1;
-  return ok;
-}
-
-/// Raises the soft fd limit to the hard cap: phase 6 holds a thousand
-/// client sockets on the bench side alone.
-void RaiseFdLimit() {
-  rlimit limit{};
-  if (getrlimit(RLIMIT_NOFILE, &limit) != 0) return;
-  if (limit.rlim_cur < limit.rlim_max) {
-    limit.rlim_cur = limit.rlim_max;
-    setrlimit(RLIMIT_NOFILE, &limit);
-  }
 }
 
 /// Idle raw TCP connection for the C10k column: connects and parks.
@@ -311,36 +219,6 @@ double PriorityLatencyField(const std::string& response, const char* klass,
   const JsonValue* field = klass_json ? klass_json->Find(key) : nullptr;
   if (field == nullptr || !field->is_number()) return -1.0;
   return field->number_value();
-}
-
-/// Minimal HTTP GET against predictd's metrics endpoint; true on a
-/// complete response, with the status line and body returned.
-bool HttpGet(int port, const std::string& path, std::string* status_line,
-             std::string* body) {
-  PredictClient client;
-  if (!client.Connect("127.0.0.1", port).ok()) return false;
-  if (!client.SendLine("GET " + path + " HTTP/1.1").ok()) return false;
-  if (!client.SendLine("Host: localhost").ok()) return false;
-  if (!client.SendLine("").ok()) return false;
-  std::vector<std::string> lines;
-  for (;;) {
-    Result<std::string> line = client.ReadLine();
-    if (!line.ok()) break;  // server closes after the one-shot response
-    std::string text = *line;
-    if (!text.empty() && text.back() == '\r') text.pop_back();
-    lines.push_back(text);
-  }
-  if (lines.empty()) return false;
-  *status_line = lines[0];
-  size_t at = 1;
-  while (at < lines.size() && !lines[at].empty()) ++at;  // headers
-  ++at;                                                  // blank separator
-  body->clear();
-  for (; at < lines.size(); ++at) {
-    *body += lines[at];
-    *body += '\n';
-  }
-  return true;
 }
 
 /// Phase 5 measurement: `threads` workers each run `iters` hot-key
@@ -398,7 +276,7 @@ int main(int argc, char** argv) {
 
   bench::GateTable gates;
   // Phases 1-4 share this child; each fails cleanly without it.
-  ChildServer child;
+  DaemonChild child;
   if (SpawnPredictd(predictd_path, threads, &child)) {
     std::printf("predictd up on port %d (pid %d, %d workers)\n", child.port,
                 static_cast<int>(child.pid), threads);
@@ -738,7 +616,7 @@ int main(int argc, char** argv) {
   int deadline_hits = 0;
   bool metrics_valid = false;
 
-  ChildServer qos_child;
+  DaemonChild qos_child;
   // One worker + a deliberately small batch: queue wait dominates, so
   // priority ordering and deadline expiry are visible in latency.
   SpawnPredictd(predictd_path, /*threads=*/1, &qos_child, {"--batch=2"});

@@ -5,9 +5,9 @@
 namespace mrperf {
 namespace {
 
-/// SplitMix64 finisher: the same avalanche mix the sharded solve cache
-/// uses to spread keys across lock shards (queueing/sharded cache),
-/// applied here to spread ring points and key positions.
+/// SplitMix64 finisher: the same avalanche mix the solve cache uses to
+/// spread keys across lock shards (queueing/solve_cache.cc), applied
+/// here to spread ring points and key positions.
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -11,10 +11,9 @@
 ///     std::hash, whose value is implementation-defined), so every
 ///     process that builds a ring over the same replica list routes a
 ///     canonical key identically. Duplicate requests therefore land on
-///     the same replica, where PR 5's in-flight coalescing and the
-///     sharded solve cache keep deduplicating fleet-wide. The
-///     tests pin routing bytes; request_key_golden_test pins the key
-///     bytes underneath.
+///     the same replica, where in-flight coalescing and the solve
+///     cache keep deduplicating fleet-wide. The tests pin routing
+///     bytes; request_key_golden_test pins the key bytes underneath.
 ///  2. **Bounded reshuffle.** A replica's death moves only its own
 ///     ring arcs to their successors (the consistent-hashing
 ///     guarantee); the other replicas' keys stay put, so their caches

@@ -1,13 +1,11 @@
 #include "fleet/router.h"
 
-#include <unistd.h>
-
 #include <chrono>
-#include <future>
 #include <utility>
 
 #include "common/logging.h"
 #include "fleet/scatter.h"
+#include "serve/metrics.h"
 
 namespace mrperf {
 namespace {
@@ -15,37 +13,30 @@ namespace {
 /// Bound on waiting for in-flight routed requests during DrainAndStop;
 /// a wedged replica must not wedge router shutdown.
 constexpr std::chrono::milliseconds kDrainInflightTimeout{10000};
-/// Bound on the client-connection flush (mirrors PredictServer).
-constexpr std::chrono::milliseconds kDrainFlushTimeout{5000};
-
-/// Prometheus label-value escaping (exposition format: \\, \", \n).
-std::string EscapeLabel(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
 FleetRouter::FleetRouter(FleetRouterOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)), front_(options_, Handlers()) {}
 
 FleetRouter::~FleetRouter() { DrainAndStop(); }
+
+ConnectionContext FleetRouter::Handlers() {
+  ConnectionContext handlers;
+  handlers.submit_line = [this](const std::string& line,
+                                const std::string& peer,
+                                ConnectionContext::ResponseCallback done) {
+    SubmitLine(line, peer, std::move(done));
+  };
+  handlers.reject_overlong = [](const std::string& message,
+                                ConnectionContext::ResponseCallback done) {
+    done(MakeErrorResponse(std::nullopt, ServeErrorCode::kParseError,
+                           message));
+  };
+  handlers.render_metrics = [this] { return RenderMetrics(); };
+  handlers.render_stats = [this] { return StatsJson(); };
+  return handlers;
+}
 
 Status FleetRouter::Start() {
   if (options_.replicas.empty()) {
@@ -55,44 +46,11 @@ Status FleetRouter::Start() {
                                      options_.virtual_nodes);
   membership_ = std::make_unique<FleetMembership>(options_.replicas,
                                                   options_.membership);
+  MRPERF_RETURN_NOT_OK(front_.Open());
+  upstream_loop_ = front_.last_loop();
 
-  context_.submit_line = [this](const std::string& line,
-                                const std::string& peer,
-                                ConnectionContext::ResponseCallback done) {
-    SubmitLine(line, peer, std::move(done));
-  };
-  context_.reject_overlong = [this](const std::string& message,
-                                    ConnectionContext::ResponseCallback done) {
-    done(MakeErrorResponse(std::nullopt, ServeErrorCode::kParseError,
-                           message));
-  };
-  context_.max_line_bytes = options_.max_line_bytes;
-  context_.enable_http = options_.enable_metrics;
-  context_.render_metrics = [this] {
-    metrics_requests_.fetch_add(1, std::memory_order_relaxed);
-    return RenderMetrics();
-  };
-  context_.render_stats = [this] { return StatsJson(); };
-
-  MRPERF_RETURN_NOT_OK(listener_.Open(options_.host, options_.port));
-  port_ = listener_.port();
-
-  const int loop_count =
-      options_.event_loop_threads > 0 ? options_.event_loop_threads : 1;
-  for (int i = 0; i < loop_count; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    const Status started = loop->Start();
-    if (!started.ok()) {
-      for (const auto& running : loops_) running->Stop();
-      loops_.clear();
-      listener_.Shutdown();
-      return started;
-    }
-    loops_.push_back(std::move(loop));
-  }
-  upstream_loop_ = loops_.back().get();
-
-  // Two upstream connections per replica, one per priority class.
+  // Two upstream connections per replica, one per priority class, in
+  // place before the first client can connect.
   upstreams_.resize(options_.replicas.size() * kRequestPriorityCount);
   for (size_t r = 0; r < options_.replicas.size(); ++r) {
     for (size_t p = 0; p < kRequestPriorityCount; ++p) {
@@ -104,53 +62,13 @@ Status FleetRouter::Start() {
     }
   }
 
-  EventLoop* accept_loop = loops_.front().get();
-  std::promise<Status> registered;
-  accept_loop->Post([this, accept_loop, &registered] {
-    registered.set_value(listener_.Register(
-        accept_loop,
-        [this](int fd, std::string peer) { HandleAccept(fd, std::move(peer)); }));
-  });
-  const Status added = registered.get_future().get();
-  if (!added.ok()) {
-    for (const auto& running : loops_) running->Stop();
-    loops_.clear();
+  const Status accepting = front_.StartAccepting();
+  if (!accepting.ok()) {
     upstreams_.clear();
-    listener_.Shutdown();
-    return added;
+    return accepting;
   }
-
   if (options_.start_probing) membership_->StartProbing();
   return Status::OK();
-}
-
-void FleetRouter::HandleAccept(int fd, std::string peer) {
-  if (stopping_.load()) {
-    ::close(fd);
-    return;
-  }
-  EventLoop* loop =
-      loops_[next_loop_.fetch_add(1, std::memory_order_relaxed) %
-             loops_.size()]
-          .get();
-  auto conn = std::make_shared<Connection>(
-      fd, std::move(peer), loop, &context_,
-      [this](const std::shared_ptr<Connection>& closed) {
-        OnConnectionClosed(closed);
-      });
-  {
-    MutexLock lock(conns_mu_);
-    conns_.emplace(conn.get(), conn);
-    ++connections_total_;
-  }
-  loop->Post([conn] { conn->Register(); });
-}
-
-void FleetRouter::OnConnectionClosed(
-    const std::shared_ptr<Connection>& conn) {
-  MutexLock lock(conns_mu_);
-  conns_.erase(conn.get());
-  conns_cv_.NotifyAll();
 }
 
 std::optional<ConnectionContext::ResponseCallback> FleetRouter::AdmitRequest(
@@ -264,41 +182,35 @@ void FleetRouter::SubmitSweep(const JsonValue& root, const std::string& /*line*/
       gather->done(MakeSweepResponse(gather->id, {}));
       return;
     }
-    // Contiguous chunks (DefaultSweepChunkPoints) scatter across the ring by
-    // their first point's canonical key; every point of a chunk rides
-    // the same preference order, so a chunk stays together on one
-    // replica's pipelined connection until failover.
-    const std::vector<ChunkRange> chunks = ScatterChunks(n);
-    for (const ChunkRange& chunk : chunks) {
-      const std::vector<size_t> preference =
-          ring_->PreferenceOrder(expansion.point_keys[chunk.begin]);
-      for (size_t i = chunk.begin; i < chunk.end; ++i) {
-        RoutedRequest point;
-        point.line = std::move(expansion.point_lines[i]);
-        point.priority = expansion.priority;
-        point.preference = preference;
-        point.done = [this, gather, i](std::string response_line) {
-          // Runs on the upstream loop: gather state is loop-confined.
-          PointOutcome outcome = ClassifyPointResponse(response_line);
-          if (outcome.ok) {
-            gather->results[i] = std::move(outcome.result_object);
-          } else if (!gather->failed) {
-            gather->failed = true;
-            gather->error_code = outcome.error_code;
-            gather->error_message = "sweep point " + std::to_string(i) +
-                                    ": " + outcome.error_message;
+    // Each point is placed by its own canonical key, as the same
+    // predict sent alone would be, so the owner that answered it here
+    // also answers it from its response cache later.
+    for (size_t i = 0; i < n; ++i) {
+      RoutedRequest point;
+      point.line = std::move(expansion.point_lines[i]);
+      point.priority = expansion.priority;
+      point.preference = ring_->PreferenceOrder(expansion.point_keys[i]);
+      point.done = [this, gather, i](std::string response_line) {
+        // Runs on the upstream loop: gather state is loop-confined.
+        PointOutcome outcome = ClassifyPointResponse(response_line);
+        if (outcome.ok) {
+          gather->results[i] = std::move(outcome.result_object);
+        } else if (!gather->failed) {
+          gather->failed = true;
+          gather->error_code = outcome.error_code;
+          gather->error_message = "sweep point " + std::to_string(i) + ": " +
+                                  outcome.error_message;
+        }
+        if (--gather->remaining == 0) {
+          if (gather->failed) {
+            gather->done(MakeErrorResponse(gather->id, gather->error_code,
+                                           gather->error_message));
+          } else {
+            gather->done(MakeSweepResponse(gather->id, gather->results));
           }
-          if (--gather->remaining == 0) {
-            if (gather->failed) {
-              gather->done(MakeErrorResponse(gather->id, gather->error_code,
-                                             gather->error_message));
-            } else {
-              gather->done(MakeSweepResponse(gather->id, gather->results));
-            }
-          }
-        };
-        Dispatch(std::move(point));
-      }
+        }
+      };
+      Dispatch(std::move(point));
     }
   });
 }
@@ -367,13 +279,11 @@ std::string FleetRouter::StatsJson() const {
   counter("sweep_points_total", sweep_points_total_);
   counter("stats_requests_total", stats_requests_total_);
   counter("parse_forward_total", parse_forward_total_);
-  {
-    MutexLock lock(conns_mu_);
-    out += ", \"connections_current\": ";
-    out += std::to_string(conns_.size());
-    out += ", \"connections_total\": ";
-    out += std::to_string(connections_total_);
-  }
+  const LineServerStats transport = front_.Stats();
+  out += ", \"connections_current\": ";
+  out += std::to_string(transport.connections_current);
+  out += ", \"connections_total\": ";
+  out += std::to_string(transport.connections_total);
   out += ", \"replicas\": [";
   const std::vector<ReplicaHealth> snapshot = membership_->Snapshot();
   for (size_t r = 0; r < snapshot.size(); ++r) {
@@ -394,103 +304,61 @@ std::string FleetRouter::StatsJson() const {
   return out;
 }
 
-std::string FleetRouter::RenderMetrics() {
+std::string FleetRouter::RenderMetrics() const {
   std::string out;
-  const auto family = [&out](const char* name, const char* type,
-                             const char* help, int64_t value) {
-    out += "# HELP ";
-    out += name;
-    out += " ";
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += " ";
-    out += type;
-    out += "\n";
-    out += name;
-    out += " ";
-    out += std::to_string(value);
-    out += "\n";
+  AppendGaugeFamily(out, "predict_router_protocol_version",
+                    "Wire protocol major this router speaks.",
+                    kServeProtocolVersion);
+  const auto counter = [&out](const char* name, const char* help,
+                              const std::atomic<int64_t>& value) {
+    AppendCounterFamily(out, name, help,
+                        value.load(std::memory_order_relaxed));
   };
-  family("predict_router_protocol_version", "gauge",
-         "Wire protocol major this router speaks.", kServeProtocolVersion);
-  family("predict_router_requests_total", "counter",
-         "Request lines received from clients.",
-         requests_total_.load(std::memory_order_relaxed));
-  family("predict_router_routed_total", "counter",
-         "Dispatches to replica connections (reroutes included).",
-         routed_total_.load(std::memory_order_relaxed));
-  family("predict_router_rerouted_total", "counter",
-         "Requests re-dispatched after a replica transport failure.",
-         rerouted_total_.load(std::memory_order_relaxed));
-  family("predict_router_unavailable_total", "counter",
-         "Requests answered unavailable after exhausting every replica.",
-         unavailable_total_.load(std::memory_order_relaxed));
-  family("predict_router_sweeps_total", "counter",
-         "Scatter-gathered sweep requests.",
-         sweeps_total_.load(std::memory_order_relaxed));
-  family("predict_router_sweep_points_total", "counter",
-         "Grid points fanned out by sweep requests.",
-         sweep_points_total_.load(std::memory_order_relaxed));
-  family("predict_router_stats_requests_total", "counter",
-         "Stats requests the router answered itself.",
-         stats_requests_total_.load(std::memory_order_relaxed));
-  int64_t connections_total = 0;
-  {
-    MutexLock lock(conns_mu_);
-    connections_total = connections_total_;
-  }
-  family("predict_router_connections_total", "counter",
-         "Client connections accepted.", connections_total);
+  counter("predict_router_requests_total",
+          "Request lines received from clients.", requests_total_);
+  counter("predict_router_routed_total",
+          "Dispatches to replica connections (reroutes included).",
+          routed_total_);
+  counter("predict_router_rerouted_total",
+          "Requests re-dispatched after a replica transport failure.",
+          rerouted_total_);
+  counter("predict_router_unavailable_total",
+          "Requests answered unavailable after exhausting every replica.",
+          unavailable_total_);
+  counter("predict_router_sweeps_total", "Scatter-gathered sweep requests.",
+          sweeps_total_);
+  counter("predict_router_sweep_points_total",
+          "Grid points fanned out by sweep requests.", sweep_points_total_);
+  counter("predict_router_stats_requests_total",
+          "Stats requests the router answered itself.",
+          stats_requests_total_);
+  AppendCounterFamily(out, "predict_router_connections_total",
+                      "Client connections accepted.",
+                      front_.Stats().connections_total);
 
-  out +=
-      "# HELP predict_router_replica_healthy Replica health by membership "
-      "view (1 healthy, 0 dead).\n"
-      "# TYPE predict_router_replica_healthy gauge\n";
   const std::vector<ReplicaHealth> snapshot = membership_->Snapshot();
+  const auto labels = [](const ReplicaHealth& health) {
+    return "{replica=\"" + EscapeLabelValue(health.address.ToString()) +
+           "\"}";
+  };
+  AppendFamilyHeader(out, "predict_router_replica_healthy",
+                     "Replica health by membership view (1 healthy, 0 dead).",
+                     "gauge");
   for (const ReplicaHealth& health : snapshot) {
-    out += "predict_router_replica_healthy{replica=\"";
-    out += EscapeLabel(health.address.ToString());
-    out += "\"} ";
-    out += health.healthy ? "1" : "0";
-    out += "\n";
+    AppendIntSample(out, "predict_router_replica_healthy",
+                    labels(health).c_str(), health.healthy ? 1 : 0);
   }
-  out +=
-      "# HELP predict_router_replica_probe_failures_total Failed health "
-      "probes per replica.\n"
-      "# TYPE predict_router_replica_probe_failures_total counter\n";
+  AppendFamilyHeader(out, "predict_router_replica_probe_failures_total",
+                     "Failed health probes per replica.", "counter");
   for (const ReplicaHealth& health : snapshot) {
-    out += "predict_router_replica_probe_failures_total{replica=\"";
-    out += EscapeLabel(health.address.ToString());
-    out += "\"} ";
-    out += std::to_string(health.probe_failures_total);
-    out += "\n";
+    AppendIntSample(out, "predict_router_replica_probe_failures_total",
+                    labels(health).c_str(), health.probe_failures_total);
   }
   return out;
 }
 
-void FleetRouter::DrainAndStop() {
-  {
-    MutexLock lock(stop_mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  stopping_.store(true);
-
-  // 1. Stop accepting: close the listener on its loop, synchronously.
-  if (!loops_.empty()) {
-    EventLoop* accept_loop = loops_.front().get();
-    std::promise<void> removed;
-    accept_loop->Post([this, &removed] {
-      listener_.Shutdown();
-      removed.set_value();
-    });
-    removed.get_future().wait();
-  } else {
-    listener_.Shutdown();
-  }
-
-  // 2. Reject new work and wait for in-flight routed requests: every
+void FleetRouter::DrainRouting() {
+  // Reject new work and wait for in-flight routed requests: every
   // admitted request gets its response (success, a replica's error, or
   // unavailable) before the transport comes down.
   {
@@ -502,50 +370,15 @@ void FleetRouter::DrainAndStop() {
       drain_cv_.WaitFor(lock, std::chrono::milliseconds(50));
     }
   }
-
-  // 3. Stop the health prober before tearing down what it probes.
+  // Stop the health prober before tearing down what it probes.
   if (membership_) membership_->StopProbing();
+}
 
-  // 4. Flush client connections, then force-close stragglers (mirrors
-  // PredictServer's drain).
-  std::vector<std::shared_ptr<Connection>> remaining;
-  {
-    MutexLock lock(conns_mu_);
-    remaining.reserve(conns_.size());
-    for (const auto& entry : conns_) remaining.push_back(entry.second);
-  }
-  for (const auto& conn : remaining) {
-    conn->loop()->Post([conn] { conn->BeginDrain(); });
-  }
-  const auto flush_deadline =
-      std::chrono::steady_clock::now() + kDrainFlushTimeout;
-  {
-    MutexLock lock(conns_mu_);
-    while (!conns_.empty() &&
-           std::chrono::steady_clock::now() < flush_deadline) {
-      conns_cv_.WaitFor(lock, std::chrono::milliseconds(50));
-    }
-  }
-  std::vector<std::shared_ptr<Connection>> stragglers;
-  {
-    MutexLock lock(conns_mu_);
-    stragglers.reserve(conns_.size());
-    for (const auto& entry : conns_) stragglers.push_back(entry.second);
-  }
-  for (const auto& conn : stragglers) {
-    conn->loop()->Post([conn] { conn->ForceClose(); });
-  }
-  stragglers.clear();
-  for (const auto& loop : loops_) loop->Stop();
-  {
-    MutexLock lock(conns_mu_);
-    conns_.clear();
-  }
-  remaining.clear();
+void FleetRouter::DrainAndStop() {
+  if (!front_.DrainAndStop([this] { DrainRouting(); })) return;
   // The loops are joined: upstream destructors may close their fds.
   upstreams_.clear();
-
-  MRPERF_LOG(Info) << "predict-router on port " << port_
+  MRPERF_LOG(Info) << "predict-router on port " << port()
                    << " drained and stopped";
 }
 

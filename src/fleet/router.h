@@ -8,8 +8,8 @@
 /// responses, because the router forwards predict lines **verbatim**
 /// to a replica chosen by hashing the request's CanonicalPredictKey
 /// onto the ring (fleet/ring.h). Duplicate requests therefore land on
-/// one replica, where in-flight coalescing and the sharded solve
-/// cache keep deduplicating fleet-wide; priority and deadline_ms ride
+/// one replica, where in-flight coalescing and the response and solve
+/// caches keep deduplicating fleet-wide; priority and deadline_ms ride
 /// inside the forwarded line untouched, and each replica keeps two
 /// upstream connections (one per priority class) so the replica's QoS
 /// dispatch order stays visible end-to-end (fleet/upstream.h).
@@ -19,10 +19,11 @@
 ///    stats JSON (fleet topology + routing counters), as is HTTP
 ///    `GET /stats`; `GET /metrics` renders predict_router_* families.
 ///  - {"kind": "sweep"}  — a router-only kind: the grid expands into
-///    per-point predict lines (fleet/scatter.h), contiguous chunks
-///    scatter across the ring, and per-point results gather back into
-///    one response in grid order, byte-identical to evaluating the
-///    same points unsplit.
+///    per-point predict lines (fleet/scatter.h), each placed on the
+///    ring by its own canonical key exactly as the same predict sent
+///    alone, and per-point results gather back into one response in
+///    grid order, byte-identical to evaluating the same points
+///    unsplit.
 ///  - unparseable lines — forwarded verbatim to a ring position
 ///    derived from the raw bytes, so even error responses are the
 ///    replica's own bytes, not a router re-implementation.
@@ -35,13 +36,18 @@
 /// FleetMembership (static --replicas list + health probes) steers
 /// dispatch away from dead replicas and lets recovered ones rejoin.
 ///
-/// Threading: frontend connections live on the event loops exactly as
-/// in PredictServer; all routing state (upstreams, sweep gathers) is
-/// confined to the **last** loop ("the upstream loop"), crossed into
-/// via EventLoop::Post — so the routing core, like Connection, holds
-/// no locks. router.cc performs no I/O syscalls at all (enforced by
+/// Threading: the router is this routing core plus the shared line
+/// transport (serve/line_server.h), the same front end as predictd's.
+/// All routing state (upstreams, sweep gathers) is confined to the
+/// transport's **last** loop ("the upstream loop"), crossed into via
+/// EventLoop::Post — so the routing core, like Connection, holds no
+/// locks. router.cc performs no I/O syscalls at all (enforced by
 /// tools/lint/check_source.py's blocking-io ban): sockets belong to
 /// TcpListener, Connection and Upstream.
+///
+/// Shutdown is the line server's sequence with a routing drain as the
+/// backend drain: wait for in-flight routed requests, then stop the
+/// prober; the upstreams are released once the loops are joined.
 
 #pragma once
 
@@ -50,7 +56,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -61,23 +66,14 @@
 #include "serve/connection.h"
 #include "serve/event_loop.h"
 #include "serve/json.h"
-#include "serve/listener.h"
+#include "serve/line_server.h"
 #include "serve/request.h"
 
 namespace mrperf {
 
-/// \brief Router configuration.
-struct FleetRouterOptions {
-  /// IPv4 listen address (loopback by default, like predictd).
-  std::string host = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back via port()).
-  int port = 0;
-  /// Maximum request-line length, newline included.
-  size_t max_line_bytes = 1 << 16;
-  /// Event-loop threads; the last loop also runs the upstream side.
-  int event_loop_threads = 2;
-  /// Serve HTTP GET /metrics and /stats on the listen port.
-  bool enable_metrics = true;
+/// \brief Router configuration: the listen settings of
+/// LineServerOptions plus the fleet's.
+struct FleetRouterOptions : LineServerOptions {
   /// Virtual nodes per replica on the ring.
   int virtual_nodes = HashRing::kDefaultVirtualNodes;
   /// Start the membership health prober (off in unit tests that drive
@@ -103,7 +99,7 @@ class FleetRouter {
   Status Start();
 
   /// Port actually bound (resolves port 0); valid after Start().
-  int port() const { return port_; }
+  int port() const { return front_.port(); }
 
   /// The membership view (tests drive ReportFailure/ReportSuccess).
   FleetMembership& membership() { return *membership_; }
@@ -113,8 +109,8 @@ class FleetRouter {
   std::string StatsJson() const;
 
   /// Graceful shutdown: stop accepting, wait for in-flight routed
-  /// requests to answer, flush client connections, tear down.
-  /// Idempotent, blocks until the loops are joined.
+  /// requests to answer, flush client connections, tear down (see file
+  /// comment). Idempotent, blocks until the loops are joined.
   void DrainAndStop();
 
  private:
@@ -129,9 +125,8 @@ class FleetRouter {
     std::string error_message;
   };
 
-  /// TcpListener accept callback (mirrors PredictServer's).
-  void HandleAccept(int fd, std::string peer);
-  void OnConnectionClosed(const std::shared_ptr<Connection>& conn);
+  /// The ConnectionContext callbacks the front end serves.
+  ConnectionContext Handlers();
 
   /// ConnectionContext::submit_line: classifies the line and routes.
   /// Runs on the submitting connection's loop thread; pure parsing
@@ -162,22 +157,20 @@ class FleetRouter {
   }
 
   /// Prometheus text exposition of the predict_router_* families.
-  std::string RenderMetrics();
+  std::string RenderMetrics() const;
+
+  /// The backend drain: rejects new work, waits for in-flight routed
+  /// requests, then stops the prober.
+  void DrainRouting();
 
   FleetRouterOptions options_;
   std::unique_ptr<HashRing> ring_;
   std::unique_ptr<FleetMembership> membership_;
-  /// Shared per-connection context; outlives every connection.
-  ConnectionContext context_;
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  /// loops_.back(): where upstreams and sweep gathers live.
+  LineServer front_;
+  /// front_.last_loop(): where upstreams and sweep gathers live.
   EventLoop* upstream_loop_ = nullptr;
   /// Indexed replica * kRequestPriorityCount + priority.
   std::vector<std::unique_ptr<Upstream>> upstreams_;
-  TcpListener listener_;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::atomic<uint64_t> next_loop_{0};
 
   // Routing counters (stats + metrics; written from several threads).
   std::atomic<int64_t> requests_total_{0};
@@ -188,23 +181,13 @@ class FleetRouter {
   std::atomic<int64_t> sweep_points_total_{0};
   std::atomic<int64_t> stats_requests_total_{0};
   std::atomic<int64_t> parse_forward_total_{0};
-  std::atomic<int64_t> metrics_requests_{0};
 
-  Mutex stop_mu_;
-  bool stopped_ GUARDED_BY(stop_mu_) = false;
-
-  /// Admission/drain gate: DrainAndStop waits here for in-flight
+  /// Admission/drain gate: DrainRouting waits here for in-flight
   /// routed requests (client-visible responses) to hit zero.
-  mutable Mutex drain_mu_;
+  Mutex drain_mu_;
   CondVar drain_cv_;
   int64_t inflight_ GUARDED_BY(drain_mu_) = 0;
   bool draining_ GUARDED_BY(drain_mu_) = false;
-
-  mutable Mutex conns_mu_;
-  CondVar conns_cv_;
-  std::unordered_map<Connection*, std::shared_ptr<Connection>> conns_
-      GUARDED_BY(conns_mu_);
-  int64_t connections_total_ GUARDED_BY(conns_mu_) = 0;
 };
 
 }  // namespace mrperf

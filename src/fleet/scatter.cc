@@ -1,6 +1,5 @@
 #include "fleet/scatter.h"
 
-#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <iterator>
@@ -176,22 +175,6 @@ Result<SweepExpansion> ExpandSweepRequest(const JsonValue& root) {
     }
   }
   return expansion;
-}
-
-size_t DefaultSweepChunkPoints(size_t points) {
-  return std::max<size_t>(1, points / 32);
-}
-
-std::vector<ChunkRange> ScatterChunks(size_t points, size_t chunk_points) {
-  std::vector<ChunkRange> chunks;
-  if (points == 0) return chunks;
-  const size_t width =
-      chunk_points > 0 ? chunk_points : DefaultSweepChunkPoints(points);
-  chunks.reserve((points + width - 1) / width);
-  for (size_t begin = 0; begin < points; begin += width) {
-    chunks.push_back(ChunkRange{begin, std::min(points, begin + width)});
-  }
-  return chunks;
 }
 
 PointOutcome ClassifyPointResponse(const std::string& response_line) {

@@ -1,6 +1,6 @@
 /// \file scatter.h
 /// \brief Scatter-gather expansion of one sweep request into per-point
-/// predict lines, chunked with the sweep engine's own layout.
+/// predict lines.
 ///
 /// The router accepts a fleet-level request kind the single daemon
 /// does not speak:
@@ -21,10 +21,9 @@
 /// Expansion synthesizes one id-less {"kind": "predict", ...} line per
 /// point and validates it through ParseServeRequest — the identical
 /// strict validation predictd applies — yielding the canonical key
-/// that places the point's chunk on the ring. Chunk ranges come from
-/// DefaultSweepChunkPoints: a pure function of the point count, so the
-/// split is deterministic and byte-identity of the merged response is
-/// inherited from per-point determinism.
+/// that places the point on the ring, exactly where the same predict
+/// sent alone lands. Byte-identity of the merged response is inherited
+/// from per-point determinism.
 ///
 /// Pure data transformation: no sockets, no threads. The router owns
 /// fan-out and gathering; tests drive this layer directly.
@@ -56,7 +55,7 @@ struct SweepExpansion {
   /// Synthesized id-less predict lines, grid row-major, index-aligned
   /// with point_keys.
   std::vector<std::string> point_lines;
-  /// CanonicalPredictKey of each point (ring placement of its chunk).
+  /// CanonicalPredictKey of each point (its ring placement).
   std::vector<std::string> point_keys;
 };
 
@@ -69,24 +68,6 @@ bool IsSweepRequest(const JsonValue& root);
 /// types, empty axes and grids beyond kMaxSweepPoints are
 /// InvalidArgument.
 Result<SweepExpansion> ExpandSweepRequest(const JsonValue& root);
-
-/// \brief One contiguous scatter unit: point indices [begin, end).
-struct ChunkRange {
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-/// \brief Default chunk width of ScatterChunks: max(1, points/32), so a
-/// sweep splits into about 32 contiguous chunks, each placed on the
-/// ring by its first point's key. A pure function of the point count,
-/// never the replica count, so a sweep splits the same way on any
-/// fleet.
-size_t DefaultSweepChunkPoints(size_t points);
-
-/// \brief Splits `points` indices into contiguous chunks of
-/// `chunk_points` (0 = DefaultSweepChunkPoints). Deterministic: a pure
-/// function of the two arguments.
-std::vector<ChunkRange> ScatterChunks(size_t points, size_t chunk_points = 0);
 
 /// \brief One per-point replica response, classified.
 struct PointOutcome {

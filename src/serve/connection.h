@@ -43,14 +43,14 @@
 
 namespace mrperf {
 
-/// \brief Shared, immutable context the owning server hands every
+/// \brief Shared, immutable context the owning LineServer hands every
 /// connection; must outlive them all.
 ///
 /// The transport is decoupled from PredictService through the two
 /// submit callbacks: predictd wires them to
 /// PredictService::SubmitLine/RejectRequestErrorTo, while the fleet
 /// router wires them to its routing layer — same framing, pipelining
-/// and drain semantics either way.
+/// and drain semantics either way (serve/line_server.h).
 struct ConnectionContext {
   /// Receives one response line (exactly once per submitted line).
   using ResponseCallback = std::function<void(std::string)>;

@@ -1,6 +1,6 @@
 /// \file listener.h
-/// \brief Nonblocking IPv4 TCP listener on an event loop, shared by
-/// predictd's PredictServer and the fleet router.
+/// \brief Nonblocking IPv4 TCP listener on an event loop, owned by the
+/// line server that fronts predictd and the fleet router.
 ///
 /// Open() binds and listens synchronously (so a port-in-use error
 /// surfaces from Start(), not from a log line); Register() arms the

@@ -15,19 +15,6 @@
 namespace mrperf {
 namespace {
 
-void AppendFamilyHeader(std::string& out, const char* name,
-                        const char* help, const char* type) {
-  out += "# HELP ";
-  out += name;
-  out += ' ';
-  out += help;
-  out += "\n# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-}
-
 void AppendInt(std::string& out, int64_t value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
@@ -49,27 +36,6 @@ void AppendDouble(std::string& out, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
   out += buf;
-}
-
-void AppendIntSample(std::string& out, const char* name,
-                     const char* labels, int64_t value) {
-  out += name;
-  out += labels;
-  out += ' ';
-  AppendInt(out, value);
-  out += '\n';
-}
-
-void AppendCounterFamily(std::string& out, const char* name,
-                         const char* help, int64_t value) {
-  AppendFamilyHeader(out, name, help, "counter");
-  AppendIntSample(out, name, "", value);
-}
-
-void AppendGaugeFamily(std::string& out, const char* name,
-                       const char* help, int64_t value) {
-  AppendFamilyHeader(out, name, help, "gauge");
-  AppendIntSample(out, name, "", value);
 }
 
 void AppendLatencyHistogram(std::string& out, const char* family,
@@ -116,6 +82,57 @@ void AppendLatencyHistogram(std::string& out, const char* family,
 
 }  // namespace
 
+void AppendFamilyHeader(std::string& out, const char* name,
+                        const char* help, const char* type) {
+  out += "# HELP ";
+  out += name;
+  out += ' ';
+  out += help;
+  out += "\n# TYPE ";
+  out += name;
+  out += ' ';
+  out += type;
+  out += '\n';
+}
+
+void AppendIntSample(std::string& out, const char* name,
+                     const char* labels, int64_t value) {
+  out += name;
+  out += labels;
+  out += ' ';
+  AppendInt(out, value);
+  out += '\n';
+}
+
+void AppendCounterFamily(std::string& out, const char* name,
+                         const char* help, int64_t value) {
+  AppendFamilyHeader(out, name, help, "counter");
+  AppendIntSample(out, name, "", value);
+}
+
+void AppendGaugeFamily(std::string& out, const char* name,
+                       const char* help, int64_t value) {
+  AppendFamilyHeader(out, name, help, "gauge");
+  AppendIntSample(out, name, "", value);
+}
+
+std::string EscapeLabelValue(const std::string& value) {
+  std::string out;
+  out.reserve(value.size());
+  for (const char c : value) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 std::string FormatPrometheusMetrics(const ServeStatsSnapshot& s) {
   std::string out;
   out.reserve(4096);
@@ -128,22 +145,9 @@ std::string FormatPrometheusMetrics(const ServeStatsSnapshot& s) {
   // exposition format.
   AppendFamilyHeader(out, "predictd_replica_info",
                      "Replica identity of this predictd process.", "gauge");
-  {
-    std::string labels = "{replica_id=\"";
-    for (const char c : s.replica_id) {
-      if (c == '\\') {
-        labels += "\\\\";
-      } else if (c == '"') {
-        labels += "\\\"";
-      } else if (c == '\n') {
-        labels += "\\n";
-      } else {
-        labels += c;
-      }
-    }
-    labels += "\"}";
-    AppendIntSample(out, "predictd_replica_info", labels.c_str(), 1);
-  }
+  const std::string info_labels =
+      "{replica_id=\"" + EscapeLabelValue(s.replica_id) + "\"}";
+  AppendIntSample(out, "predictd_replica_info", info_labels.c_str(), 1);
   AppendGaugeFamily(out, "predictd_queue_depth",
                     "Distinct evaluations queued for dispatch.",
                     s.queue_depth);

@@ -10,6 +10,10 @@
 /// same event loop as the JSON protocol, so a scrape needs no side
 /// channel and observes exactly what /stats observes.
 ///
+/// The family, sample and label-escape writers below are the one
+/// Prometheus writer of the repo: the fleet router renders its
+/// predict_router_* families with them too.
+///
 /// ValidatePrometheusText is the renderer's contract in checkable
 /// form: the metrics test and bench_serve_load's scrape gate both run
 /// scraped bytes through it, so a malformed exposition (bucket not
@@ -18,12 +22,34 @@
 
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "common/status.h"
 #include "serve/stats.h"
 
 namespace mrperf {
+
+/// \brief Appends the `# HELP` and `# TYPE` lines of family `name`.
+void AppendFamilyHeader(std::string& out, const char* name,
+                        const char* help, const char* type);
+
+/// \brief Appends one sample line, `<name><labels> <value>`; `labels`
+/// is empty or a rendered `{key="value",...}` set.
+void AppendIntSample(std::string& out, const char* name,
+                     const char* labels, int64_t value);
+
+/// \brief Appends a counter family holding one unlabelled sample.
+void AppendCounterFamily(std::string& out, const char* name,
+                         const char* help, int64_t value);
+
+/// \brief Appends a gauge family holding one unlabelled sample.
+void AppendGaugeFamily(std::string& out, const char* name,
+                       const char* help, int64_t value);
+
+/// \brief Escapes a label value per the exposition format: backslash,
+/// double quote and newline become \\, \" and \n.
+std::string EscapeLabelValue(const std::string& value);
 
 /// \brief Renders the snapshot in Prometheus text exposition format.
 /// Deterministic: equal snapshots render byte-identically.

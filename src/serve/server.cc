@@ -1,9 +1,5 @@
 #include "serve/server.h"
 
-#include <unistd.h>
-
-#include <chrono>
-#include <future>
 #include <utility>
 
 #include "common/logging.h"
@@ -11,200 +7,56 @@
 #include "serve/stats.h"
 
 namespace mrperf {
-namespace {
-
-/// Bound on the graceful flush during DrainAndStop; a client that never
-/// reads its last responses is force-closed after this.
-constexpr std::chrono::milliseconds kDrainFlushTimeout{5000};
-
-}  // namespace
 
 PredictServer::PredictServer(PredictServerOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)), front_(options_, Handlers()) {}
 
 PredictServer::~PredictServer() { DrainAndStop(); }
 
-Status PredictServer::Start() {
-  PredictServiceOptions service_options = options_.service;
-  service_options.transport_stats_hook = [this](ServeStatsSnapshot& snapshot) {
-    FillTransportStats(snapshot);
-  };
-  service_ = std::make_unique<PredictService>(service_options);
-
-  context_.submit_line = [this](const std::string& line,
+ConnectionContext PredictServer::Handlers() {
+  ConnectionContext handlers;
+  handlers.submit_line = [this](const std::string& line,
                                 const std::string& peer,
                                 ConnectionContext::ResponseCallback done) {
     service_->SubmitLine(line, peer, std::move(done));
   };
-  context_.reject_overlong = [this](const std::string& message,
+  handlers.reject_overlong = [this](const std::string& message,
                                     ConnectionContext::ResponseCallback done) {
     service_->RejectRequestErrorTo(std::nullopt, ServeErrorCode::kParseError,
                                    message, std::move(done));
   };
-  context_.max_line_bytes = options_.max_line_bytes;
-  context_.enable_http = options_.enable_metrics;
-  context_.render_metrics = [this] {
-    metrics_requests_.fetch_add(1, std::memory_order_relaxed);
+  handlers.render_metrics = [this] {
     return FormatPrometheusMetrics(service_->Stats());
   };
-  context_.render_stats = [this] {
+  handlers.render_stats = [this] {
     return FormatServeStatsJson(service_->Stats());
   };
-
-  MRPERF_RETURN_NOT_OK(listener_.Open(options_.host, options_.port));
-  port_ = listener_.port();
-
-  const int loop_count =
-      options_.event_loop_threads > 0 ? options_.event_loop_threads : 1;
-  for (int i = 0; i < loop_count; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    const Status started = loop->Start();
-    if (!started.ok()) {
-      for (const auto& running : loops_) running->Stop();
-      loops_.clear();
-      listener_.Shutdown();
-      return started;
-    }
-    loops_.push_back(std::move(loop));
-  }
-
-  // The listener registers on loop 0's own thread (registration
-  // discipline); Start() reports its epoll_ctl outcome.
-  EventLoop* accept_loop = loops_.front().get();
-  std::promise<Status> registered;
-  accept_loop->Post([this, accept_loop, &registered] {
-    registered.set_value(listener_.Register(
-        accept_loop,
-        [this](int fd, std::string peer) { HandleAccept(fd, std::move(peer)); }));
-  });
-  const Status added = registered.get_future().get();
-  if (!added.ok()) {
-    for (const auto& running : loops_) running->Stop();
-    loops_.clear();
-    listener_.Shutdown();
-    return added;
-  }
-  return Status::OK();
+  return handlers;
 }
 
-void PredictServer::HandleAccept(int fd, std::string peer) {
-  if (stopping_.load()) {
-    ::close(fd);
-    return;
-  }
-  EventLoop* loop =
-      loops_[next_loop_.fetch_add(1, std::memory_order_relaxed) %
-             loops_.size()]
-          .get();
-  auto conn = std::make_shared<Connection>(
-      fd, std::move(peer), loop, &context_,
-      [this](const std::shared_ptr<Connection>& closed) {
-        OnConnectionClosed(closed);
-      });
-  {
-    MutexLock lock(conns_mu_);
-    conns_.emplace(conn.get(), conn);
-    ++connections_total_;
-  }
-  // Register on the owning loop's thread (this may be loop 0 itself;
-  // the task then runs right after this accept batch).
-  loop->Post([conn] { conn->Register(); });
-}
-
-void PredictServer::OnConnectionClosed(
-    const std::shared_ptr<Connection>& conn) {
-  MutexLock lock(conns_mu_);
-  conns_.erase(conn.get());
-  conns_cv_.NotifyAll();
-}
-
-void PredictServer::FillTransportStats(ServeStatsSnapshot& snapshot) {
-  snapshot.replica_id = options_.replica_id;
-  snapshot.event_loop_threads = static_cast<int>(loops_.size());
-  int64_t pending = 0;
-  for (const auto& loop : loops_) pending += loop->pending_tasks();
-  snapshot.event_loop_pending_tasks = pending;
-  {
-    MutexLock lock(conns_mu_);
-    snapshot.connections_current = static_cast<int64_t>(conns_.size());
-    snapshot.connections_total = connections_total_;
-  }
-  snapshot.metrics_requests_total =
-      metrics_requests_.load(std::memory_order_relaxed);
+Status PredictServer::Start() {
+  PredictServiceOptions service_options = options_.service;
+  // Called by PredictService::Stats outside service locks.
+  service_options.transport_stats_hook = [this](ServeStatsSnapshot& snapshot) {
+    const LineServerStats transport = front_.Stats();
+    snapshot.replica_id = options_.replica_id;
+    snapshot.event_loop_threads = transport.event_loop_threads;
+    snapshot.event_loop_pending_tasks = transport.event_loop_pending_tasks;
+    snapshot.connections_current = transport.connections_current;
+    snapshot.connections_total = transport.connections_total;
+    snapshot.metrics_requests_total = transport.metrics_requests_total;
+  };
+  service_ = std::make_unique<PredictService>(service_options);
+  MRPERF_RETURN_NOT_OK(front_.Open());
+  return front_.StartAccepting();
 }
 
 void PredictServer::DrainAndStop() {
-  {
-    MutexLock lock(stop_mu_);
-    if (stopped_) return;
-    stopped_ = true;
-  }
-  stopping_.store(true);
-
-  // 1. Stop accepting: unregister and close the listener on its loop,
-  // synchronously — afterwards no connection can appear.
-  if (!loops_.empty()) {
-    EventLoop* accept_loop = loops_.front().get();
-    std::promise<void> removed;
-    accept_loop->Post([this, &removed] {
-      listener_.Shutdown();
-      removed.set_value();
-    });
-    removed.get_future().wait();
-  } else {
-    listener_.Shutdown();
-  }
-
-  // 2. Drain the service: every admitted request finishes evaluating
-  // and its completion is posted to the owning connection's loop;
-  // post-drain arrivals resolve immediately as shutting_down
-  // rejections.
-  if (service_) service_->Drain();
-
-  // 3. Drain connections: half-close read sides, flush the remaining
-  // responses, close. The drain posts enqueue after all completion
-  // posts from step 2 (same loop, FIFO), so no response is lost.
-  std::vector<std::shared_ptr<Connection>> remaining;
-  {
-    MutexLock lock(conns_mu_);
-    remaining.reserve(conns_.size());
-    for (const auto& entry : conns_) remaining.push_back(entry.second);
-  }
-  for (const auto& conn : remaining) {
-    conn->loop()->Post([conn] { conn->BeginDrain(); });
-  }
-  const auto deadline = std::chrono::steady_clock::now() + kDrainFlushTimeout;
-  {
-    MutexLock lock(conns_mu_);
-    while (!conns_.empty() &&
-           std::chrono::steady_clock::now() < deadline) {
-      conns_cv_.WaitFor(lock, std::chrono::milliseconds(50));
-    }
-  }
-
-  // 4. Force-close stragglers (clients that never read their last
-  // responses must not wedge shutdown), then stop the loops. Stop()
-  // runs already-queued tasks — including these — before exiting.
-  std::vector<std::shared_ptr<Connection>> stragglers;
-  {
-    MutexLock lock(conns_mu_);
-    stragglers.reserve(conns_.size());
-    for (const auto& entry : conns_) stragglers.push_back(entry.second);
-  }
-  for (const auto& conn : stragglers) {
-    conn->loop()->Post([conn] { conn->ForceClose(); });
-  }
-  stragglers.clear();
-  for (const auto& loop : loops_) loop->Stop();
-  {
-    // Safety net: anything still tracked after the loops stopped is
-    // released here (its destructor closes the fd).
-    MutexLock lock(conns_mu_);
-    conns_.clear();
-  }
-  remaining.clear();
-
-  MRPERF_LOG(Info) << "predict server on port " << port_
+  const auto drain_service = [this] {
+    if (service_) service_->Drain();
+  };
+  if (!front_.DrainAndStop(drain_service)) return;
+  MRPERF_LOG(Info) << "predict server on port " << port()
                    << " drained and stopped";
 }
 

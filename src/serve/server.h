@@ -1,8 +1,8 @@
 /// \file server.h
-/// \brief predictd's TCP transport: newline-delimited JSON over a
-/// fixed budget of epoll event-loop threads, pipelined per connection.
+/// \brief predictd's server: one PredictService behind the shared line
+/// transport (serve/line_server.h).
 ///
-/// The transport is deliberately thin: every request line goes straight
+/// The server is deliberately thin: every request line goes straight
 /// to PredictService::SubmitLine (which owns QoS scheduling, batching,
 /// coalescing, quotas and backpressure), and responses are written back
 /// **in request order** per connection (HTTP/1.1-style pipelining) — a
@@ -12,61 +12,36 @@
 /// oversized line (no newline within max_line_bytes) terminates its
 /// connection, after an error response.
 ///
-/// Concurrency model (the C10k refactor): `event_loop_threads` event
-/// loops serve every connection — no per-connection threads, so ten
-/// thousand mostly-idle connections cost ten thousand fds and buffers,
-/// not twenty thousand stacks. Loop 0 additionally owns the
-/// nonblocking listener; accepted sockets are handed to loops
-/// round-robin. Each Connection is confined to its loop (see
-/// connection.h); the service's dispatcher hands completed responses
-/// back by posting to the owning loop.
-///
 /// Observability: with `enable_metrics`, HTTP `GET /metrics` (the
 /// Prometheus text exposition) and `GET /stats` (the /stats JSON) are
 /// served on the same listen port, off the same event loops — a first
 /// read starting with "GET " switches that connection to one-shot HTTP.
+/// The transport's gauges fold into the service's stats snapshot.
 ///
-/// Shutdown (DrainAndStop, wired to SIGTERM by predictd): stop
-/// accepting connections, drain the service — every admitted request
-/// is evaluated and its response posted — then half-close each
-/// connection's read side, flush remaining responses, and tear down. A
-/// client that never reads its last responses is force-closed after a
-/// bounded wait; requests arriving during the drain get
-/// `shutting_down` rejections (still as ordered responses), never
-/// silent drops.
+/// Shutdown (DrainAndStop, wired to SIGTERM by predictd) is the line
+/// server's sequence with PredictService::Drain as the backend drain:
+/// every admitted request is evaluated and answered before the
+/// connections flush.
 
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
-#include "common/thread_annotations.h"
-#include "serve/connection.h"
-#include "serve/event_loop.h"
-#include "serve/listener.h"
+#include "serve/line_server.h"
 #include "serve/service.h"
 
 namespace mrperf {
 
-/// \brief Server configuration.
-struct PredictServerOptions {
-  /// IPv4 listen address. The default binds loopback only: predictd is
-  /// an internal service; fronting proxies own external exposure.
-  std::string host = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back via port()).
-  int port = 0;
-  /// Maximum request-line length, newline included.
-  size_t max_line_bytes = 1 << 16;
-  /// Event-loop (transport) threads; the connection count they carry is
-  /// independent of this budget. Clamped to >= 1.
-  int event_loop_threads = 2;
-  /// Serve HTTP GET /metrics and /stats on the listen port.
-  bool enable_metrics = true;
+/// \brief Server configuration: the listen settings of
+/// LineServerOptions plus the service's own.
+struct PredictServerOptions : LineServerOptions {
+  /// User-provided, so `PredictServerOptions{}` runs a constructor: GCC
+  /// 12 at -O3 misreports the base's std::string as maybe-uninitialized
+  /// when an aggregate with a base class is brace-initialized.
+  PredictServerOptions() {}
+
   /// Operator-assigned replica identity (the predictd --replica-id
   /// flag). Surfaced in /stats and as the predictd_replica_info label
   /// so a fleet's replicas are tellable apart; empty = standalone.
@@ -90,7 +65,7 @@ class PredictServer {
   Status Start();
 
   /// Port actually bound (resolves port 0); valid after Start().
-  int port() const { return port_; }
+  int port() const { return front_.port(); }
 
   /// The underlying service (stats snapshots, drain control, tests).
   PredictService& service() { return *service_; }
@@ -100,41 +75,12 @@ class PredictServer {
   void DrainAndStop();
 
  private:
-  /// TcpListener accept callback: wraps one accepted socket in a
-  /// Connection on a round-robin loop (or closes it when stopping).
-  void HandleAccept(int fd, std::string peer);
-  /// Connection closed-callback: releases the server's reference.
-  void OnConnectionClosed(const std::shared_ptr<Connection>& conn);
-  /// transport_stats_hook: folds loop/connection gauges into a
-  /// snapshot. Called by PredictService::Stats outside service locks.
-  void FillTransportStats(ServeStatsSnapshot& snapshot);
+  /// The ConnectionContext callbacks the front end serves.
+  ConnectionContext Handlers();
 
   PredictServerOptions options_;
   std::unique_ptr<PredictService> service_;
-  /// Shared per-connection context; outlives every connection.
-  ConnectionContext context_;
-  /// Started in Start(), stopped in DrainAndStop(), never shrunk while
-  /// the server lives (FillTransportStats reads it unlocked).
-  std::vector<std::unique_ptr<EventLoop>> loops_;
-  /// Opened in Start(); shut down on loop 0 in DrainAndStop step 1.
-  TcpListener listener_;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  /// Round-robin cursor for assigning accepted sockets to loops.
-  std::atomic<uint64_t> next_loop_{0};
-  /// GET /metrics scrapes served (render_metrics callback).
-  std::atomic<int64_t> metrics_requests_{0};
-  Mutex stop_mu_;
-  bool stopped_ GUARDED_BY(stop_mu_) = false;
-
-  Mutex conns_mu_;
-  /// Signaled whenever a connection closes (DrainAndStop waits on it).
-  CondVar conns_cv_;
-  /// Live connections; the shared_ptr here is the owner's reference,
-  /// released by OnConnectionClosed.
-  std::unordered_map<Connection*, std::shared_ptr<Connection>> conns_
-      GUARDED_BY(conns_mu_);
-  int64_t connections_total_ GUARDED_BY(conns_mu_) = 0;
+  LineServer front_;
 };
 
 }  // namespace mrperf

@@ -227,6 +227,56 @@ TEST(FleetRouterTest, SweepMatchesPointByPointEvaluation) {
   for (auto& replica : replicas) replica->DrainAndStop();
 }
 
+TEST(FleetRouterTest, SweepPointsLandWhereTheirStandalonePredictsLand) {
+  std::vector<std::unique_ptr<PredictServer>> replicas;
+  std::vector<int> ports;
+  for (int i = 0; i < 2; ++i) {
+    replicas.push_back(std::make_unique<PredictServer>(FastReplicaOptions()));
+    ASSERT_TRUE(replicas.back()->Start().ok());
+    ports.push_back(replicas.back()->port());
+  }
+  FleetRouter router(RouterOver(ports));
+  ASSERT_TRUE(router.Start().ok());
+  const auto evaluations = [&replicas] {
+    int64_t total = 0;
+    for (const auto& replica : replicas) {
+      total += replica->service().Stats().evaluations_total;
+    }
+    return total;
+  };
+
+  // 64 model-only points: 32 cluster sizes x 2 input sizes.
+  std::string sweep = R"({"kind": "sweep", "nodes": [2)";
+  for (int nodes = 3; nodes < 34; ++nodes) {
+    sweep += ", " + std::to_string(nodes);
+  }
+  sweep += R"(], "input_gb": [0.25, 0.5], "model_only": true})";
+  Result<JsonValue> parsed = ParseJson(sweep);
+  ASSERT_TRUE(parsed.ok());
+  Result<SweepExpansion> expanded = ExpandSweepRequest(parsed.ValueOrDie());
+  ASSERT_TRUE(expanded.ok()) << expanded.status().ToString();
+  const std::vector<std::string>& points = expanded.ValueOrDie().point_lines;
+  ASSERT_EQ(points.size(), 64u);
+
+  PredictClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", router.port()).ok());
+  const std::string gathered = Call(client, sweep);
+  ASSERT_NE(gathered.find("\"ok\": true"), std::string::npos) << gathered;
+  const int64_t swept = evaluations();
+  EXPECT_EQ(swept, 64);
+
+  // Each point sent alone must reach the replica that answered it in
+  // the sweep, which answers it again from its response cache.
+  for (const std::string& point : points) {
+    const std::string response = Call(client, point);
+    EXPECT_NE(response.find("\"ok\": true"), std::string::npos) << response;
+  }
+  EXPECT_EQ(evaluations(), swept);
+
+  router.DrainAndStop();
+  for (auto& replica : replicas) replica->DrainAndStop();
+}
+
 TEST(FleetRouterTest, ReplicaDeadlineExpiryReachesTheOriginalClient) {
   // A deadline_ms that expires inside the replica's queue must come
   // back through the router as the replica's own structured

@@ -120,27 +120,6 @@ TEST(ExpandSweepRequestTest, UnknownFieldsAreRejectedByPointValidation) {
   EXPECT_FALSE(Expand(R"({"kind": "sweep", "nodez": [2, 4]})").ok());
 }
 
-TEST(ScatterChunksTest, MatchesTheSweepEnginesChunkLayout) {
-  for (const size_t points : {1u, 7u, 32u, 33u, 100u, 4096u}) {
-    const std::vector<ChunkRange> chunks = ScatterChunks(points);
-    const size_t width = DefaultSweepChunkPoints(points);
-    ASSERT_FALSE(chunks.empty());
-    size_t expected_begin = 0;
-    for (const ChunkRange& chunk : chunks) {
-      EXPECT_EQ(chunk.begin, expected_begin);
-      EXPECT_LE(chunk.end - chunk.begin, width);
-      expected_begin = chunk.end;
-    }
-    EXPECT_EQ(expected_begin, points);
-  }
-  EXPECT_TRUE(ScatterChunks(0).empty());
-  // Explicit width overrides the default.
-  const std::vector<ChunkRange> chunks = ScatterChunks(10, 4);
-  ASSERT_EQ(chunks.size(), 3u);
-  EXPECT_EQ(chunks[2].begin, 8u);
-  EXPECT_EQ(chunks[2].end, 10u);
-}
-
 TEST(ClassifyPointResponseTest, SuccessSlicesResultBytesExactly) {
   const std::string result_object =
       R"({"nodes": 2, "predicted_makespan_s": 12.5})";

@@ -26,12 +26,16 @@ Checks enforced (see README "Correctness tooling"):
                    annotated Mutex/MutexLock/CondVar wrappers so clang's
                    -Wthread-safety analysis sees every acquisition.
   blocking-io      direct I/O syscalls (read/write/recv/send/accept...)
-                   are banned in src/serve/event_loop.cc: the loop is
-                   pure readiness dispatch, and one blocking call there
-                   stalls every connection on that loop. Socket I/O
-                   belongs in handlers (connection.cc); the loop's own
-                   nonblocking wake-eventfd reads/writes carry
-                   `lint:allow(blocking-io)` escapes with reasons.
+                   are banned in the I/O-free zone:
+                   src/serve/event_loop.cc is pure readiness dispatch,
+                   and one blocking call there stalls every connection
+                   on that loop; src/serve/server.cc and
+                   src/fleet/router.cc are backends of the shared line
+                   transport (serve/line_server.cc) and only answer or
+                   route lines. Socket I/O belongs in handlers
+                   (connection.cc, listener.cc, upstream.cc); the
+                   loop's own nonblocking wake-eventfd reads/writes
+                   carry `lint:allow(blocking-io)` escapes with reasons.
   bare-nolint      NOLINT markers must name a check and carry a reason:
                    `// NOLINT(check-name): why`.
 
@@ -130,9 +134,11 @@ def check_file(path, root, findings):
     is_random_impl = rel.startswith("src/common/random.")
     is_annotations = rel == "src/common/thread_annotations.h"
     # Files that must stay pure dispatch/routing logic: no I/O syscalls.
-    # The event loop only dispatches readiness; the fleet router only
-    # routes — sockets belong to TcpListener, Connection and Upstream.
+    # The event loop only dispatches readiness; predictd's server and
+    # the fleet router only answer or route lines — sockets belong to
+    # TcpListener, Connection and Upstream.
     is_io_free_zone = rel in ("src/serve/event_loop.cc",
+                              "src/serve/server.cc",
                               "src/fleet/router.cc")
 
     if path.endswith(HEADER_EXTS):
@@ -166,9 +172,9 @@ def check_file(path, root, findings):
                 findings.append(Finding(
                     path, lineno, "blocking-io",
                     "I/O syscall in an I/O-free zone; event_loop.cc is "
-                    "pure readiness dispatch and router.cc is pure "
-                    "routing — do socket I/O in a Handler (connection.cc, "
-                    "listener.cc, upstream.cc)"))
+                    "pure readiness dispatch, server.cc and router.cc only "
+                    "answer or route lines — do socket I/O in a Handler "
+                    "(connection.cc, listener.cc, upstream.cc)"))
 
         if in_src and not is_annotations:
             if RAW_MUTEX_RE.search(code) and not allowed(raw, "raw-mutex", prev):

@@ -21,43 +21,14 @@
 ///   $ ./predict_router --port=7077 --replicas=127.0.0.1:7171,127.0.0.1:7172
 ///   predict-router listening on 127.0.0.1:7077
 
-#include <sys/resource.h>
-#include <unistd.h>
-
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/daemon.h"
 #include "common/flags.h"
 #include "common/logging.h"
 #include "fleet/router.h"
-
-namespace {
-
-/// Self-pipe: the only async-signal-safe way to hand a signal to the
-/// main thread without polling.
-int g_signal_pipe[2] = {-1, -1};
-
-extern "C" void HandleShutdownSignal(int signo) {
-  const unsigned char byte = static_cast<unsigned char>(signo);
-  // write() is async-signal-safe; a full pipe just means a shutdown is
-  // already pending.
-  [[maybe_unused]] ssize_t n = write(g_signal_pipe[1], &byte, 1);
-}
-
-/// Raise the fd soft limit to the hard limit: the router carries both
-/// client connections and per-replica upstreams on event loops, so fds
-/// are its capacity bound. Best effort.
-void RaiseFdLimit() {
-  struct rlimit limit = {};
-  if (getrlimit(RLIMIT_NOFILE, &limit) != 0) return;
-  if (limit.rlim_cur >= limit.rlim_max) return;
-  limit.rlim_cur = limit.rlim_max;
-  (void)setrlimit(RLIMIT_NOFILE, &limit);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mrperf;
@@ -115,17 +86,11 @@ int main(int argc, char** argv) {
   options.replicas = std::move(replicas.ValueOrDie());
 
   RaiseFdLimit();
-
-  if (pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "predict-router: pipe() failed: %s\n",
-                 std::strerror(errno));
+  const Status signals = InstallShutdownSignals();
+  if (!signals.ok()) {
+    std::fprintf(stderr, "predict-router: %s\n", signals.message().c_str());
     return 1;
   }
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  sigemptyset(&action.sa_mask);
-  sigaction(SIGTERM, &action, nullptr);
-  sigaction(SIGINT, &action, nullptr);
   // Upstream replicas may vanish mid-write; MSG_NOSIGNAL covers sends,
   // this covers the rest.
   std::signal(SIGPIPE, SIG_IGN);
@@ -142,10 +107,7 @@ int main(int argc, char** argv) {
               router.port());
   std::fflush(stdout);
 
-  // Block until SIGTERM/SIGINT.
-  unsigned char signo = 0;
-  while (read(g_signal_pipe[0], &signo, 1) < 0 && errno == EINTR) {
-  }
+  const int signo = WaitForShutdownSignal();
   std::fprintf(stderr, "predict-router: signal %d, draining...\n", signo);
   router.DrainAndStop();
 

@@ -24,45 +24,13 @@
 ///   $ printf '%s\n' '{"kind":"predict","nodes":4,"input_gb":1.0}' |
 ///       nc 127.0.0.1 7077
 
-#include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <string>
-#include <sys/resource.h>
-#include <unistd.h>
 
+#include "common/daemon.h"
 #include "common/flags.h"
 #include "common/logging.h"
 #include "serve/server.h"
 #include "serve/stats.h"
-
-namespace {
-
-/// Self-pipe: the only async-signal-safe way to hand a signal to the
-/// main thread without polling.
-int g_signal_pipe[2] = {-1, -1};
-
-extern "C" void HandleShutdownSignal(int signo) {
-  const unsigned char byte = static_cast<unsigned char>(signo);
-  // write() is async-signal-safe; a full pipe just means a shutdown is
-  // already pending.
-  [[maybe_unused]] ssize_t n = write(g_signal_pipe[1], &byte, 1);
-}
-
-/// Raise the fd soft limit to the hard limit: with an event-loop
-/// transport the connection count is bounded by fds, not threads, and
-/// the default soft limit (often 1024) would cap a C10k deployment at
-/// a tenth of its capacity. Best effort — failure just keeps the
-/// current limit.
-void RaiseFdLimit() {
-  struct rlimit limit = {};
-  if (getrlimit(RLIMIT_NOFILE, &limit) != 0) return;
-  if (limit.rlim_cur >= limit.rlim_max) return;
-  limit.rlim_cur = limit.rlim_max;
-  (void)setrlimit(RLIMIT_NOFILE, &limit);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace mrperf;
@@ -107,17 +75,11 @@ int main(int argc, char** argv) {
   if (!flags.Validate()) return 2;
 
   RaiseFdLimit();
-
-  if (pipe(g_signal_pipe) != 0) {
-    std::fprintf(stderr, "predictd: pipe() failed: %s\n",
-                 std::strerror(errno));
+  const Status signals = InstallShutdownSignals();
+  if (!signals.ok()) {
+    std::fprintf(stderr, "predictd: %s\n", signals.message().c_str());
     return 1;
   }
-  struct sigaction action = {};
-  action.sa_handler = HandleShutdownSignal;
-  sigemptyset(&action.sa_mask);
-  sigaction(SIGTERM, &action, nullptr);
-  sigaction(SIGINT, &action, nullptr);
 
   PredictServer server(options);
   const Status started = server.Start();
@@ -131,10 +93,7 @@ int main(int argc, char** argv) {
               server.port());
   std::fflush(stdout);
 
-  // Block until SIGTERM/SIGINT.
-  unsigned char signo = 0;
-  while (read(g_signal_pipe[0], &signo, 1) < 0 && errno == EINTR) {
-  }
+  const int signo = WaitForShutdownSignal();
   std::fprintf(stderr, "predictd: signal %d, draining...\n", signo);
   server.DrainAndStop();
 
