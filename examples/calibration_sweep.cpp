@@ -3,8 +3,9 @@
 /// variability (task_cv) and the model's intra-job overlap scale (the
 /// tuning knob the paper's conclusions single out), reporting
 /// model-vs-simulator errors on representative workload points. The values
-/// chosen from this sweep are recorded in EXPERIMENTS.md; the same sweep is
-/// how a user would fit the model to their own cluster.
+/// chosen from this sweep are the defaults DefaultExperimentOptions sets
+/// (experiments/experiment.cc); the same sweep is how a user would fit the
+/// model to their own cluster.
 ///
 /// The full (task_cv × alpha × point) grid is flattened into one task
 /// list and fanned out through the engine's SweepRunner; the shared MVA
@@ -59,7 +60,7 @@ int main(int argc, char** argv) {
         task.options.repetitions = 3;
         // Pin the calibrated seed so the measured series is held fixed
         // while alpha varies — the comparison the calibration reads —
-        // and stays aligned with the values recorded in EXPERIMENTS.md.
+        // and stays aligned with DefaultExperimentOptions' calibration.
         task.derive_seed = false;
         tasks.push_back(task);
       }

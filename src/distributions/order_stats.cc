@@ -10,12 +10,6 @@ namespace {
 
 constexpr double kIntegrationTol = 1e-9;
 
-double JointUpperBound(const std::vector<const Distribution*>& xs) {
-  double bound = 0.0;
-  for (const auto* x : xs) bound = std::max(bound, x->UpperTailBound());
-  return bound;
-}
-
 }  // namespace
 
 double Moments::Cv() const {
@@ -24,17 +18,11 @@ double Moments::Cv() const {
   return var > 0.0 ? std::sqrt(var) / mean : 0.0;
 }
 
-Result<Moments> MaxMomentsN(const std::vector<const Distribution*>& xs) {
-  if (xs.empty()) {
-    return Status::InvalidArgument("MaxMomentsN requires at least one input");
-  }
-  if (xs.size() == 1) return MomentsOf(*xs[0]);
-  const double upper = JointUpperBound(xs);
-  auto joint_cdf = [&xs](double t) {
-    double prod = 1.0;
-    for (const auto* x : xs) prod *= x->Cdf(t);
-    return prod;
-  };
+Result<Moments> MaxMoments(const FittedDistribution& x,
+                           const FittedDistribution& y) {
+  const double upper =
+      std::max(std::max(0.0, x.UpperTailBound()), y.UpperTailBound());
+  auto joint_cdf = [&x, &y](double t) { return x.Cdf(t) * y.Cdf(t); };
   MRPERF_ASSIGN_OR_RETURN(
       double mean,
       IntegrateAdaptiveSimpson(
@@ -53,42 +41,12 @@ Result<Moments> MaxMomentsN(const std::vector<const Distribution*>& xs) {
   return out;
 }
 
-Result<Moments> MaxMoments(const Distribution& x, const Distribution& y) {
-  return MaxMomentsN({&x, &y});
-}
-
-Result<Moments> MinMoments(const Distribution& x, const Distribution& y) {
-  const double upper = std::max(x.UpperTailBound(), y.UpperTailBound());
-  auto joint_survival = [&x, &y](double t) {
-    return x.Survival(t) * y.Survival(t);
-  };
-  MRPERF_ASSIGN_OR_RETURN(double mean,
-                          IntegrateAdaptiveSimpson(joint_survival, 0.0,
-                                                   upper, kIntegrationTol));
-  MRPERF_ASSIGN_OR_RETURN(
-      double second,
-      IntegrateAdaptiveSimpson(
-          [&joint_survival](double t) { return 2.0 * t * joint_survival(t); },
-          0.0, upper, kIntegrationTol));
-  Moments out;
-  out.mean = mean;
-  out.second = std::max(second, mean * mean);
-  return out;
-}
-
 Moments SumMoments(const Moments& x, const Moments& y) {
   // Independence: means and variances add.
   Moments out;
   out.mean = x.mean + y.mean;
   const double var = x.Variance() + y.Variance();
   out.second = var + out.mean * out.mean;
-  return out;
-}
-
-Moments MomentsOf(const Distribution& x) {
-  Moments out;
-  out.mean = x.Mean();
-  out.second = x.SecondMoment();
   return out;
 }
 

@@ -1,19 +1,17 @@
 /// \file order_stats.h
-/// \brief Moments of max/min of independent random variables.
+/// \brief Moments of the max and of the sum of independent variables.
 ///
 /// The Tripathi estimator needs E[max(X, Y)] and E[max(X, Y)²] of the two
-/// children of a P node. For independent non-negative X, Y:
+/// fitted children of a P node. For independent non-negative X, Y:
 ///   E[max]  = ∫₀^∞ (1 − F_X(t)·F_Y(t)) dt
 ///   E[max²] = ∫₀^∞ 2t·(1 − F_X(t)·F_Y(t)) dt
-///   E[min]  = ∫₀^∞ S_X(t)·S_Y(t) dt
-/// evaluated with adaptive quadrature against the fitted distributions.
+/// evaluated with adaptive quadrature (absolute tolerance 1e-9) up to the
+/// larger tail bound of the two fits.
 
 #pragma once
 
-#include <vector>
-
 #include "common/status.h"
-#include "distributions/distribution.h"
+#include "distributions/fitting.h"
 
 namespace mrperf {
 
@@ -27,18 +25,10 @@ struct Moments {
 };
 
 /// \brief Moments of max(X, Y) for independent X, Y.
-Result<Moments> MaxMoments(const Distribution& x, const Distribution& y);
-
-/// \brief Moments of min(X, Y) for independent X, Y.
-Result<Moments> MinMoments(const Distribution& x, const Distribution& y);
-
-/// \brief Moments of the max of several independent variables.
-Result<Moments> MaxMomentsN(const std::vector<const Distribution*>& xs);
+Result<Moments> MaxMoments(const FittedDistribution& x,
+                           const FittedDistribution& y);
 
 /// \brief Moments of X + Y for independent X, Y (no integration needed).
 Moments SumMoments(const Moments& x, const Moments& y);
-
-/// \brief Moments of a single distribution.
-Moments MomentsOf(const Distribution& x);
 
 }  // namespace mrperf

@@ -96,11 +96,10 @@ std::string PointLabel(const ExperimentPoint& point) {
 ExperimentOptions DefaultExperimentOptions() {
   ExperimentOptions opts;
   opts.profile = WordCountProfile();
-  // Calibration (see EXPERIMENTS.md "Calibration" and the
-  // calibration_sweep example): task-duration variability of the simulated
-  // testbed, damped overlap factors (the tuning the paper's conclusions
-  // point at), and slightly heavy-tailed leaf responses for the Tripathi
-  // estimator.
+  // Calibration, fitted with examples/calibration_sweep.cpp: task-duration
+  // variability of the simulated testbed, damped overlap factors (the
+  // tuning the paper's conclusions point at), and slightly heavy-tailed
+  // leaf responses for the Tripathi estimator.
   opts.sim.task_cv = 1.3;
   opts.model.overlap.alpha_scale = 0.6;
   opts.model.overlap.beta_scale = 0.4;

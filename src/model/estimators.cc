@@ -17,6 +17,13 @@ Status ValidateLeafFn(const LeafResponseFn& fn) {
   return Status::OK();
 }
 
+Status ValidateLeafResponse(double r) {
+  if (!std::isfinite(r) || r < 0) {
+    return Status::InvalidArgument("leaf response must be finite and >= 0");
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------
 // Fork/Join evaluation
 // ---------------------------------------------------------------------
@@ -27,9 +34,7 @@ Result<double> EvalForkJoinNode(const PrecedenceTree& tree, int node,
   switch (n.op) {
     case TreeOp::kLeaf: {
       const double r = leaf_response(n.task_id);
-      if (r < 0) {
-        return Status::InvalidArgument("leaf response must be >= 0");
-      }
+      MRPERF_RETURN_NOT_OK(ValidateLeafResponse(r));
       return r;
     }
     case TreeOp::kSerial: {
@@ -71,9 +76,7 @@ Result<double> EstimateForkJoin(const PrecedenceTree& tree,
     double max_r = 0.0;
     for (int task_id : group) {
       const double r = leaf_response(task_id);
-      if (r < 0) {
-        return Status::InvalidArgument("leaf response must be >= 0");
-      }
+      MRPERF_RETURN_NOT_OK(ValidateLeafResponse(r));
       max_r = std::max(max_r, r);
     }
     total += HarmonicNumber(static_cast<int>(group.size())) * max_r;
@@ -94,9 +97,7 @@ Result<Moments> EvalTripathiNode(const PrecedenceTree& tree, int node,
   switch (n.op) {
     case TreeOp::kLeaf: {
       const double r = leaf_response(n.task_id);
-      if (r < 0) {
-        return Status::InvalidArgument("leaf response must be >= 0");
-      }
+      MRPERF_RETURN_NOT_OK(ValidateLeafResponse(r));
       Moments m;
       m.mean = r;
       m.second = (1.0 + leaf_cv * leaf_cv) * r * r;
@@ -119,11 +120,11 @@ Result<Moments> EvalTripathiNode(const PrecedenceTree& tree, int node,
       if (r.mean <= 0) return l;
       // Fit each child by CV (Erlang if CV <= 1, Hyperexponential if
       // CV >= 1, §4.2.4), then integrate for the max moments.
-      MRPERF_ASSIGN_OR_RETURN(DistributionPtr dl,
+      MRPERF_ASSIGN_OR_RETURN(FittedDistribution dl,
                               FitByMeanCv(l.mean, l.Cv()));
-      MRPERF_ASSIGN_OR_RETURN(DistributionPtr dr,
+      MRPERF_ASSIGN_OR_RETURN(FittedDistribution dr,
                               FitByMeanCv(r.mean, r.Cv()));
-      return MaxMoments(*dl, *dr);
+      return MaxMoments(dl, dr);
     }
   }
   return Status::Internal("unreachable tree op");
@@ -138,8 +139,8 @@ Result<double> EstimateTripathi(const PrecedenceTree& tree,
   if (tree.Empty()) {
     return Status::InvalidArgument("cannot estimate an empty tree");
   }
-  if (options.leaf_cv < 0) {
-    return Status::InvalidArgument("leaf_cv must be >= 0");
+  if (!std::isfinite(options.leaf_cv) || options.leaf_cv < 0) {
+    return Status::InvalidArgument("leaf_cv must be finite and >= 0");
   }
   MRPERF_ASSIGN_OR_RETURN(
       Moments root,

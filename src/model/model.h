@@ -15,11 +15,11 @@
 ///       damping on the class-response updates to guarantee stability of
 ///       the discrete timeline→tree→MVA loop.
 ///
-/// Deviation from the paper, documented in DESIGN.md §5: the paper
-/// aggregates resources into two cluster-wide centers (CPU&Memory,
-/// Network); because the timeline provides task placement, this
-/// implementation instantiates CPU, disk and network centers per node,
-/// which localizes contention the same way the validation cluster does.
+/// Deviation from the paper: the paper aggregates resources into two
+/// cluster-wide centers (CPU&Memory, Network); because the timeline
+/// provides task placement, this implementation instantiates CPU, disk and
+/// network centers per node, which localizes contention the same way the
+/// validation cluster does.
 
 #pragma once
 

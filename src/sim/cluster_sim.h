@@ -1,8 +1,8 @@
 /// \file cluster_sim.h
 /// \brief Discrete-event Hadoop 2.x cluster simulator.
 ///
-/// This is the substitution for the paper's physical 4–8 node Hadoop 2.x
-/// testbed (DESIGN.md §2): a YARN ResourceManager with the capacity
+/// This stands in for the physical 4–8 node Hadoop 2.x cluster the paper
+/// validates against: a YARN ResourceManager with the capacity
 /// scheduler, per-job ApplicationMasters with the RMContainerAllocator
 /// behaviour (map priority over reduce, slow start, locality), NodeManagers
 /// with container accounting, and per-node processor-sharing CPU / disk /
@@ -48,7 +48,7 @@ struct SimOptions {
   /// (log-normal); models stragglers, GC pauses, data skew and disk
   /// variance. Hadoop task durations are near-exponentially variable under
   /// load, hence the default of 1; the paper-experiment driver calibrates
-  /// it to 1.3 (see EXPERIMENTS.md).
+  /// it to 1.3 (DefaultExperimentOptions in experiments/experiment.h).
   double task_cv = 1.0;
   /// Delay between container grant and task start (localization, JVM).
   double container_launch_sec = 1.0;

@@ -3,8 +3,8 @@
 /// distribution (§5: "map-and-reduce-input heavy jobs that process large
 /// amounts of input data and also generate large intermediate data").
 ///
-/// Since the physical testbed is substituted by the cluster simulator
-/// (DESIGN.md §2), this module provides calibrated dataflow/cost profiles
+/// Since the cluster simulator (sim/cluster_sim.h) stands in for the
+/// physical testbed, this module provides calibrated dataflow/cost profiles
 /// and cluster/Hadoop configurations whose simulated response times land in
 /// the paper's reported ranges (tens of seconds for 1 GB × 1 job up to
 /// ~20 minutes for 5 GB × 4 jobs on 4 nodes).

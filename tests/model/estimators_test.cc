@@ -1,6 +1,7 @@
 #include "model/estimators.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +115,15 @@ TEST(ForkJoinTest, RejectsNegativeLeafAndEmptyTree) {
   auto tree = BuildPrecedenceTree(tl, 0);
   ASSERT_TRUE(tree.ok());
   EXPECT_FALSE(EstimateForkJoin(*tree, Constant(-1.0)).ok());
+  // A non-finite leaf is rejected like a negative one, in both modes.
+  EstimatorOptions nested;
+  nested.forkjoin_mode = ForkJoinMode::kNestedBinary;
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNaN, kInf}) {
+    EXPECT_FALSE(EstimateForkJoin(*tree, Constant(bad)).ok());
+    EXPECT_FALSE(EstimateForkJoin(*tree, Constant(bad), nested).ok());
+  }
   PrecedenceTree empty;
   EXPECT_FALSE(EstimateForkJoin(empty, Constant(1.0)).ok());
   EXPECT_FALSE(EstimateForkJoin(*tree, nullptr).ok());
@@ -193,6 +203,13 @@ TEST(TripathiTest, RejectsInvalidInputs) {
   opts.leaf_cv = -1.0;
   EXPECT_FALSE(EstimateTripathi(*tree, Constant(1.0), opts).ok());
   EXPECT_FALSE(EstimateTripathi(*tree, Constant(-1.0)).ok());
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (double bad : {kNaN, kInf}) {
+    EXPECT_FALSE(EstimateTripathi(*tree, Constant(bad)).ok());
+    opts.leaf_cv = bad;
+    EXPECT_FALSE(EstimateTripathi(*tree, Constant(1.0), opts).ok());
+  }
   PrecedenceTree empty;
   EXPECT_FALSE(EstimateTripathi(empty, Constant(1.0)).ok());
 }

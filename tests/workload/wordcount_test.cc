@@ -51,8 +51,8 @@ TEST(PaperHadoopConfigTest, Figure15BlockSize) {
 }
 
 TEST(PaperHadoopConfigTest, SingleMapWaveForPaperWorkloads) {
-  // The container sizing must keep every paper workload in one map wave
-  // (the regime DESIGN.md documents).
+  // The container sizing must keep every paper workload in one map wave,
+  // as the paper's 128 GB nodes do (see PaperHadoopConfig).
   HadoopConfig cfg = PaperHadoopConfig(64 * kMiB);
   const int slots_4_nodes = 4 * cfg.MaxMapsPerNode();
   EXPECT_GE(slots_4_nodes, cfg.NumMapTasks(5 * kGiB));

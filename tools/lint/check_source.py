@@ -38,6 +38,13 @@ Checks enforced (see README "Correctness tooling"):
                    carry `lint:allow(blocking-io)` escapes with reasons.
   bare-nolint      NOLINT markers must name a check and carry a reason:
                    `// NOLINT(check-name): why`.
+  doc-ref          every `*.md` path a source line names must exist,
+                   relative to the repository root or to the file's
+                   own directory; a comment that cites a missing
+                   document explains nothing.
+
+Scanned: *.h, *.cc and *.cpp under src/, tests/, bench/, tools/ and
+examples/.
 
 A finding on one line can be suppressed — with a reason — by appending
 `// lint:allow(<check>): <reason>` to that line, or by placing
@@ -55,7 +62,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 
 SOURCE_DIRS = ("src", "tests", "bench", "tools", "examples")
 HEADER_EXTS = (".h",)
-CXX_EXTS = (".h", ".cc")
+CXX_EXTS = (".h", ".cc", ".cpp")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+)\)(:\s*\S.*)?$")
 ALLOW_NEXT_RE = re.compile(r"//\s*lint:allow-next-line\(([a-z-]+)\)(:\s*\S.*)?$")
@@ -67,6 +74,7 @@ RAW_MUTEX_RE = re.compile(
     r"unique_lock|scoped_lock|shared_lock|condition_variable)\b")
 DOUBLE_FMT_RE = re.compile(r"%[-+ #0-9.*]*[efgEFG]")
 PARENT_INCLUDE_RE = re.compile(r'#\s*include\s+"\.\./')
+DOC_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
 BLOCKING_IO_RE = re.compile(
     r"(^|[^\w.])(::)?\s*(read|write|recv|recvfrom|recvmsg|send|sendto|"
     r"sendmsg|accept4?|pread|pwrite)\s*\(")
@@ -203,6 +211,15 @@ def check_file(path, root, findings):
                     path, lineno, "mutable-global",
                     "namespace-scope mutable global; make it std::atomic, "
                     "const, or a function-local static behind a Mutex"))
+
+        for ref in DOC_REF_RE.findall(raw):
+            if not any(os.path.isfile(os.path.join(base, ref))
+                       for base in (root, os.path.dirname(path))):
+                if not allowed(raw, "doc-ref", prev):
+                    findings.append(Finding(
+                        path, lineno, "doc-ref",
+                        f"{ref} does not exist; cite a document or symbol "
+                        "that does, or say it here"))
 
         nolint = NOLINT_RE.search(raw)
         if nolint and not (nolint.group(3) and nolint.group(4)):
