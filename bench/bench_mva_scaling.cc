@@ -1,21 +1,28 @@
-/// Microbenchmark for the §4.3 complexity analysis and the solver-kernel
-/// paths. The MVA algorithm is O(C²N²K); the overlap-MVA interference
-/// term O(T²K) per iteration is the hot path of every sweep point. This
-/// bench sweeps task counts over the three kernel paths (scalar
-/// reference vs blocked vs group-compressed, mva_kernel.h), reports the
-/// blocked and grouped speedups, and sweeps population for the
-/// exact/approximate MVA solvers. The grouped cells use the bench's
-/// fixed 8 equivalence classes, so tasks-per-class grows with T — at
-/// T = 256 that is 32 members/class, the regime the timeline produces.
+/// Microbenchmark for the §4.3 complexity analysis and the overlap-MVA
+/// kernels (mva_kernel.h). The MVA algorithm is O(C²N²K); the
+/// overlap-MVA interference term O(T²K) per iteration is the hot path of
+/// every sweep point. This bench sweeps task counts over three columns
+/// and sweeps population for the exact/approximate MVA solvers:
+///
+///   scalar   the oracle, SolveOverlapMva on the per-task problem;
+///   blocked  the production solve (SolveGroupedOverlapMva) of the same
+///            problem as T singleton classes — the SIMD-cloned blocked
+///            product at full task granularity;
+///   grouped  the production solve of the same network compressed to
+///            the bench's fixed 8 equivalence classes, so tasks-per-class
+///            grows with T — at T = 256 that is 32 members/class, the
+///            regime the timeline produces.
 ///
 /// Self-contained timing (no Google Benchmark) so CI can run it as a
 /// perf-smoke gate:
 ///
 ///   bench_mva_scaling --smoke      small grid; exit 1 on any solver
-///                                  error, scalar/blocked bit mismatch,
-///                                  grouped-vs-reference tolerance
-///                                  breach, or a warm-started solve that
-///                                  fails to cut fixed-point iterations
+///                                  error, a singleton production solve
+///                                  that is not bit-identical to the
+///                                  oracle, a grouped solve outside
+///                                  tolerance of the oracle, or a
+///                                  warm-started oracle solve that fails
+///                                  to cut fixed-point iterations
 ///   bench_mva_scaling              full sweep (default min 200 ms/cell)
 ///   --min-ms=N --max-tasks=T      timing budget / largest task count
 ///   --json-out=PATH               machine-readable per-T medians
@@ -44,7 +51,7 @@ namespace {
 /// Equivalence classes of the grouped cells (tasks/class = T/8).
 constexpr int kBenchGroups = 8;
 
-/// Agreement bound for grouped vs per-task reference responses.
+/// Agreement bound for grouped production vs oracle responses.
 constexpr double kGroupedRelTol = 1e-8;
 
 /// The bench-standard overlap problem: 4 nodes × (cpu, disk) centers,
@@ -92,6 +99,18 @@ GroupedOverlapMvaProblem BuildGroupedProblem(int tasks, int groups) {
   }
   p.overlap.assign(groups, std::vector<double>(groups, 0.8));
   return p;
+}
+
+/// `p` as T singleton classes, in task order: what the production
+/// kernel solves when no two tasks share a class.
+GroupedOverlapMvaProblem SingletonClasses(const OverlapMvaProblem& p) {
+  GroupedOverlapMvaProblem grouped;
+  grouped.centers = p.centers;
+  for (const OverlapTask& task : p.tasks) {
+    grouped.groups.push_back({task.demand, /*count=*/1});
+  }
+  grouped.overlap = p.overlap;
+  return grouped;
 }
 
 ClosedNetwork BuildClosedNetwork(int population) {
@@ -142,8 +161,8 @@ bool BitwiseEqual(const OverlapMvaSolution& a, const OverlapMvaSolution& b) {
   return a.residence == b.residence;
 }
 
-/// Relative agreement check for the grouped path against a per-task
-/// reference solve of the same compressed problem.
+/// Relative agreement check for a production solve against the oracle
+/// on the same (expanded) problem.
 bool WithinRelTol(const OverlapMvaSolution& ref,
                   const OverlapMvaSolution& got) {
   if (ref.response.size() != got.response.size()) return false;
@@ -171,25 +190,20 @@ struct OverlapRow {
   double grouped_speedup() const { return blocked_us / grouped_us; }
 };
 
-/// Times scalar vs blocked vs grouped on one problem size; verifies the
-/// per-task paths are bit-for-bit identical and the grouped path agrees
-/// with its per-task reference within tolerance. Returns false on
-/// failure.
+/// Times the oracle vs the two production columns on one problem size;
+/// verifies the singleton production solve is bit-for-bit the oracle
+/// and the grouped solve agrees with the oracle on its expansion within
+/// tolerance. Returns false on failure.
 bool RunOverlapCell(int tasks, double min_ms, OverlapRow* row) {
   const OverlapMvaProblem p = BuildOverlapProblem(tasks);
+  const GroupedOverlapMvaProblem singletons = SingletonClasses(p);
   const int groups = std::min(kBenchGroups, tasks);
   const GroupedOverlapMvaProblem gp = BuildGroupedProblem(tasks, groups);
   MvaKernelScratch scratch;
+  const OverlapMvaOptions opts;
 
-  OverlapMvaOptions scalar_opts;
-  scalar_opts.kernel = MvaKernelPath::kScalar;
-  OverlapMvaOptions blocked_opts;
-  blocked_opts.kernel = MvaKernelPath::kBlocked;
-  OverlapMvaOptions grouped_opts;
-  grouped_opts.kernel = MvaKernelPath::kGrouped;
-
-  auto scalar_sol = SolveOverlapMva(p, scalar_opts, &scratch);
-  auto blocked_sol = SolveOverlapMva(p, blocked_opts, &scratch);
+  auto scalar_sol = SolveOverlapMva(p, opts, &scratch);
+  auto blocked_sol = SolveGroupedOverlapMva(singletons, opts, &scratch);
   if (!scalar_sol.ok() || !blocked_sol.ok()) {
     std::fprintf(stderr, "overlap MVA failed at T=%d: %s\n", tasks,
                  (!scalar_sol.ok() ? scalar_sol.status() : blocked_sol.status())
@@ -199,13 +213,14 @@ bool RunOverlapCell(int tasks, double min_ms, OverlapRow* row) {
   }
   if (!BitwiseEqual(*scalar_sol, *blocked_sol)) {
     std::fprintf(stderr,
-                 "kernel paths disagree at T=%d (must be bit-identical)\n",
+                 "singleton production solve differs from the oracle at "
+                 "T=%d (must be bit-identical)\n",
                  tasks);
     return false;
   }
-  // Grouped path vs its per-task reference on the compressed problem.
-  auto grouped_ref = SolveGroupedOverlapMva(gp, scalar_opts, &scratch);
-  auto grouped_sol = SolveGroupedOverlapMva(gp, grouped_opts, &scratch);
+  // Grouped production vs the oracle on the expanded problem.
+  auto grouped_ref = SolveOverlapMva(gp.Expand(), opts, &scratch);
+  auto grouped_sol = SolveGroupedOverlapMva(gp, opts, &scratch);
   if (!grouped_ref.ok() || !grouped_sol.ok()) {
     std::fprintf(
         stderr, "grouped overlap MVA failed at T=%d/G=%d: %s\n", tasks,
@@ -217,23 +232,23 @@ bool RunOverlapCell(int tasks, double min_ms, OverlapRow* row) {
   }
   if (!WithinRelTol(*grouped_ref, *grouped_sol)) {
     std::fprintf(stderr,
-                 "grouped path outside tolerance at T=%d/G=%d "
-                 "(must match the per-task reference)\n",
+                 "grouped solve outside tolerance at T=%d/G=%d "
+                 "(must match the oracle)\n",
                  tasks, groups);
     return false;
   }
 
-  // Warm-start cell: the same network with demands scaled 1% — the
-  // neighboring-sweep-point shape — solved cold vs seeded with the base
-  // problem's fixed point. The warm solve must land on the same fixed
-  // point and do so in strictly fewer damped sweeps.
+  // Warm-start cell, on the oracle: the same network with demands
+  // scaled 1% — the neighboring-sweep-point shape — solved cold vs
+  // seeded with the base problem's fixed point. The warm solve must land
+  // on the same fixed point and do so in strictly fewer damped sweeps.
   OverlapMvaProblem neighbor = BuildOverlapProblem(tasks);
   for (OverlapTask& task : neighbor.tasks) {
     for (double& d : task.demand) d *= 1.01;
   }
-  auto neighbor_cold = SolveOverlapMva(neighbor, blocked_opts, &scratch);
-  const FlatMatrix seed = SolutionResidenceMatrix(*blocked_sol);
-  OverlapMvaOptions warm_opts = blocked_opts;
+  auto neighbor_cold = SolveOverlapMva(neighbor, opts, &scratch);
+  const FlatMatrix seed = SolutionResidenceMatrix(*scalar_sol);
+  OverlapMvaOptions warm_opts = opts;
   warm_opts.initial_residence = &seed;
   auto neighbor_warm = SolveOverlapMva(neighbor, warm_opts, &scratch);
   if (!neighbor_cold.ok() || !neighbor_warm.ok()) {
@@ -269,13 +284,13 @@ bool RunOverlapCell(int tasks, double min_ms, OverlapRow* row) {
   row->neighbor_cold_iters = neighbor_cold->iterations;
   row->neighbor_warm_iters = neighbor_warm->iterations;
   const auto solve_scalar = [&] {
-    return SolveOverlapMva(p, scalar_opts, &scratch).ok();
+    return SolveOverlapMva(p, opts, &scratch).ok();
   };
   const auto solve_blocked = [&] {
-    return SolveOverlapMva(p, blocked_opts, &scratch).ok();
+    return SolveGroupedOverlapMva(singletons, opts, &scratch).ok();
   };
   const auto solve_grouped = [&] {
-    return SolveGroupedOverlapMva(gp, grouped_opts, &scratch).ok();
+    return SolveGroupedOverlapMva(gp, opts, &scratch).ok();
   };
   double sec = 0.0;
   if (!TimeIt(solve_scalar, min_ms, &sec)) return false;
@@ -416,9 +431,9 @@ int Run(bool smoke, double min_ms, int max_tasks,
                  "speedup below 5x at T >= 256 on this run\n");
   }
   std::printf(
-      "\nall solver statuses OK; per-task paths bit-identical; grouped "
-      "path within %g of reference; warm starts reduced neighbor "
-      "iterations on every row\n",
+      "\nall solver statuses OK; singleton production bit-identical to "
+      "the oracle; grouped production within %g of the oracle; warm "
+      "starts reduced neighbor iterations on every row\n",
       kGroupedRelTol);
   return 0;
 }

@@ -12,7 +12,7 @@ namespace {
 /// Index of a node's center in the per-node center layout.
 enum Center { kCpu = 0, kDisk = 1, kNet = 2 };
 
-/// Per-node CPU / disk / network stations shared by both problem builders.
+/// Per-node CPU / disk / network stations of the A4 problem.
 /// Heterogeneous clusters get per-node multiplicities from their group.
 std::vector<ServiceCenter> MakeCenters(const ModelInput& input) {
   const int num_nodes = input.NodeCount();
@@ -31,7 +31,7 @@ std::vector<ServiceCenter> MakeCenters(const ModelInput& input) {
   return centers;
 }
 
-/// Places one task's (or class representative's) demand on its node.
+/// Places one class representative's demand on its node.
 std::vector<double> PlaceDemand(size_t num_centers, int node,
                                 const ClassDemand& demand) {
   std::vector<double> placed(num_centers, 0.0);
@@ -45,25 +45,10 @@ std::vector<double> PlaceDemand(size_t num_centers, int node,
   return placed;
 }
 
-/// Builds the per-task overlap-MVA problem for the current timeline
-/// (reference-oracle path: one row per task, dense T×T θ).
-OverlapMvaProblem BuildMvaProblem(const ModelInput& input,
-                                  const Timeline& timeline,
-                                  const OverlapFactors& overlap) {
-  OverlapMvaProblem problem;
-  problem.centers = MakeCenters(input);
-  const size_t K = problem.centers.size();
-  problem.tasks.reserve(timeline.tasks.size());
-  for (const auto& t : timeline.tasks) {
-    problem.tasks.push_back(OverlapTask{PlaceDemand(K, t.node, t.demand)});
-  }
-  problem.overlap = overlap.theta;
-  return problem;
-}
-
 /// Builds the group-compressed A4 problem straight from the timeline's
 /// equivalence classes: one demand row per class, G×G θ blocks, and the
-/// task→class map for expanding the solution back to tasks.
+/// task→class map for expanding the solution back to tasks. When every
+/// class is a singleton the classes are the tasks in timeline order.
 GroupedOverlapMvaProblem BuildGroupedMvaProblem(
     const ModelInput& input, GroupedOverlapFactors&& overlap) {
   GroupedOverlapMvaProblem problem;
@@ -115,19 +100,13 @@ Result<ModelResult> SolveModel(const ModelInput& input,
   // A4 solver configuration. Problems built below are valid by
   // construction (θ clamped to [0,1], demands placed non-negative with a
   // positive-total placeholder, centers from validated input), so the
-  // per-solve O(T²)/O(G²) re-validation of the hot loop is skipped —
+  // per-solve O(G²) re-validation of the hot loop is skipped —
   // full validation stays at the public API entries.
   OverlapMvaOptions mva_opts = options.mva;
   mva_opts.assume_valid = true;
   // Every A4 solve starts cold from the zero-contention point: a kernel
   // seed in options.mva is ignored (SolveCache::SolveThrough rejects one).
   mva_opts.initial_residence = nullptr;
-  // kScalar/kBlocked pin the per-task reference pipeline (dense θ, one
-  // MVA row per task); kAuto/kGrouped run the group-compressed pipeline,
-  // which solves the same fixed point over task equivalence classes.
-  const bool grouped_pipeline =
-      options.mva.kernel == MvaKernelPath::kAuto ||
-      options.mva.kernel == MvaKernelPath::kGrouped;
 
   ModelResult result;
   double prev_fj = -1.0;
@@ -160,50 +139,27 @@ Result<ModelResult> SolveModel(const ModelInput& input,
                             BuildTimeline(input, durations));
 
     // ---- A3 + A4: overlap factors and the overlap-adjusted MVA ---------
-    double mean_alpha = 0.0;
-    double mean_beta = 0.0;
+    // θ as G×G blocks over the timeline's task equivalence classes, the
+    // fixed point in O(G²K) per iteration, solutions expanded back to
+    // per-task rows.
+    MRPERF_ASSIGN_OR_RETURN(
+        GroupedOverlapFactors overlap,
+        ComputeGroupedOverlapFactors(timeline, options.overlap));
+    const double mean_alpha = overlap.mean_alpha;
+    const double mean_beta = overlap.mean_beta;
+    const GroupedOverlapMvaProblem problem =
+        BuildGroupedMvaProblem(input, std::move(overlap));
     OverlapMvaSolution mva;
     SolveThroughInfo solve_info;
-    if (grouped_pipeline) {
-      // Group-compressed path: θ as G×G blocks over the timeline's task
-      // equivalence classes, the fixed point in O(G²K) per iteration,
-      // solutions expanded back to per-task rows.
+    if (options.mva_cache) {
       MRPERF_ASSIGN_OR_RETURN(
-          GroupedOverlapFactors overlap,
-          ComputeGroupedOverlapFactors(timeline, options.overlap));
-      mean_alpha = overlap.mean_alpha;
-      mean_beta = overlap.mean_beta;
-      const GroupedOverlapMvaProblem problem =
-          BuildGroupedMvaProblem(input, std::move(overlap));
-      if (options.mva_cache) {
-        MRPERF_ASSIGN_OR_RETURN(
-            mva, options.mva_cache->SolveThrough(problem, mva_opts,
-                                                 options.mva_scratch,
-                                                 &solve_info));
-      } else {
-        MRPERF_ASSIGN_OR_RETURN(
-            mva, SolveGroupedOverlapMva(problem, mva_opts,
-                                        options.mva_scratch));
-        solve_info.iterations = mva.iterations;
-      }
+          mva, options.mva_cache->SolveThrough(problem, mva_opts,
+                                               options.mva_scratch,
+                                               &solve_info));
     } else {
       MRPERF_ASSIGN_OR_RETURN(
-          OverlapFactors overlap,
-          ComputeOverlapFactors(timeline, options.overlap));
-      mean_alpha = overlap.mean_alpha;
-      mean_beta = overlap.mean_beta;
-      const OverlapMvaProblem problem =
-          BuildMvaProblem(input, timeline, overlap);
-      if (options.mva_cache) {
-        MRPERF_ASSIGN_OR_RETURN(
-            mva, options.mva_cache->SolveThrough(problem, mva_opts,
-                                                 options.mva_scratch,
-                                                 &solve_info));
-      } else {
-        MRPERF_ASSIGN_OR_RETURN(
-            mva, SolveOverlapMva(problem, mva_opts, options.mva_scratch));
-        solve_info.iterations = mva.iterations;
-      }
+          mva, SolveGroupedOverlapMva(problem, mva_opts, options.mva_scratch));
+      solve_info.iterations = mva.iterations;
     }
     result.mva_iterations += solve_info.iterations;
 

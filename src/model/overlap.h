@@ -36,7 +36,9 @@ struct OverlapFactors {
   double mean_beta = 0.0;
 };
 
-/// \brief Computes overlap factors from the timeline intervals.
+/// \brief Computes the dense T×T overlap factors from the timeline
+/// intervals: the O(T²) oracle ComputeGroupedOverlapFactors is checked
+/// against. Tests and benches only; SolveModel runs the grouped form.
 Result<OverlapFactors> ComputeOverlapFactors(
     const Timeline& timeline, const OverlapOptions& options = {});
 

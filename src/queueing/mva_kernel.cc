@@ -8,12 +8,12 @@
 /// where the host has them. An avx512f clone measured *slower* here
 /// (GCC 12, Ice Lake-class host) and is deliberately omitted. The TU
 /// is compiled with -ffp-contract=off (CMakeLists), so no clone fuses
-/// multiply–add into FMA and every variant — and the scalar path —
-/// produces bit-identical results; vectorizing the k loop never
-/// reorders a per-(i,k) accumulator.
+/// multiply–add into FMA and every variant produces the plain loop's
+/// bits (and, on all-singleton problems, the scalar oracle's);
+/// vectorizing the k loop never reorders a per-(i,k) accumulator.
 /// ThreadSanitizer cannot coexist with target_clones: the clones'
 /// ifunc resolver runs during relocation, before the TSan runtime
-/// initializes, and crashes at load. The scalar/blocked paths are
+/// initializes, and crashes at load. The unvectorized product is
 /// bit-identical to the clones, so TSan builds lose only speed.
 #if defined(__SANITIZE_THREAD__)
 #define MRPERF_TSAN_BUILD 1
@@ -36,20 +36,15 @@
 namespace mrperf {
 namespace {
 
-/// Crossover below which the scalar gather loop beats the blocked
-/// product (the separate interference pass + zeroing has fixed cost;
-/// measured on bench_mva_scaling, the blocked path wins from a few
-/// dozen tasks up and ties well before that).
-constexpr size_t kBlockedMinTasks = 16;
-
 /// i-tile height for the blocked product: tall enough to reuse each q
 /// row several times, short enough that the tile's interference rows
 /// stay resident in L1.
 constexpr size_t kTileRows = 8;
 
-/// Refreshes q[j][k] = residence[j][k] / response[j] (0 when idle). The
-/// division is hoisted to one reciprocal per row so the inner loop is a
-/// pure multiply both paths share.
+/// Refreshes q[j][k] = residence[j][k] / response[j] (0 when idle) at
+/// the top of every oracle sweep. The division is hoisted to one
+/// reciprocal per row so the inner loop is the same multiply the grouped
+/// kernel's fused refresh runs.
 void RefreshQ(MvaKernelScratch& s) {
   const size_t T = s.tasks();
   const size_t K = s.centers();
@@ -64,11 +59,12 @@ void RefreshQ(MvaKernelScratch& s) {
   }
 }
 
-/// Applies the residence update for task i given its interference row,
+/// Applies the residence update for row i given its interference row,
 /// returning the row's response sum and folding |Δ| into *max_delta.
-/// The arithmetic (and its order) is shared by both paths, so they can
+/// The arithmetic (and its order) is shared by both kernels, so they can
 /// only differ in how the interference term is accumulated — and both
-/// accumulate it in ascending-j order, making the paths bit-identical.
+/// accumulate it in ascending-j order, which makes them bit-identical
+/// on all-singleton problems.
 double UpdateResidenceRow(MvaKernelScratch& s, size_t i,
                           const double* interference, double damping,
                           double* max_delta) {
@@ -89,7 +85,7 @@ double UpdateResidenceRow(MvaKernelScratch& s, size_t i,
   return new_response;
 }
 
-/// One damped sweep with the original per-(i,k) gather loops.
+/// One damped oracle sweep with the original per-(i,k) gather loops.
 double ScalarSweep(MvaKernelScratch& s, double damping) {
   const size_t T = s.tasks();
   const size_t K = s.centers();
@@ -137,24 +133,13 @@ void BlockedInterference(MvaKernelScratch& s) {
   }
 }
 
-double BlockedSweep(MvaKernelScratch& s, double damping) {
-  const size_t T = s.tasks();
-  BlockedInterference(s);
-  double max_delta = 0.0;
-  for (size_t i = 0; i < T; ++i) {
-    s.response[i] = UpdateResidenceRow(s, i, s.interference.Row(i), damping,
-                                       &max_delta);
-  }
-  return max_delta;
-}
-
 /// One grouped sweep over G rows: the blocked product on the
 /// count-weighted W matrix, then the residence update with the q-row
 /// refresh fused in — q for the next iteration is written while the
-/// freshly damped residence row is still hot, eliminating the separate
-/// RefreshQ pass of the per-task kernel. The fused refresh computes
-/// exactly what RefreshQ would at the top of the next iteration, so the
-/// iteration sequence matches the per-task kernel's step for step.
+/// freshly damped residence row is still hot, eliminating the oracle's
+/// separate RefreshQ pass. The fused refresh computes exactly what
+/// RefreshQ would at the top of the next iteration, so the iteration
+/// sequence matches the oracle's step for step.
 double GroupedSweep(MvaKernelScratch& s, double damping) {
   const size_t G = s.tasks();
   const size_t K = s.centers();
@@ -197,40 +182,17 @@ bool SeedInitialResidence(MvaKernelScratch& s, const FlatMatrix* initial) {
 
 }  // namespace
 
-MvaKernelPath ResolveMvaKernelPath(MvaKernelPath requested, size_t tasks) {
-  // Per-task problems carry no group structure; grouped degenerates to
-  // the blocked product it is built from.
-  if (requested == MvaKernelPath::kGrouped) return MvaKernelPath::kBlocked;
-  if (requested != MvaKernelPath::kAuto) return requested;
-  return tasks >= kBlockedMinTasks ? MvaKernelPath::kBlocked
-                                   : MvaKernelPath::kScalar;
-}
-
-MvaKernelPath ResolveGroupedMvaKernelPath(MvaKernelPath requested,
-                                          size_t tasks, size_t groups) {
-  if (requested == MvaKernelPath::kAuto) {
-    // Any real compression wins: per-iteration cost is O(G²K) vs O(T²K)
-    // and the expansion back to tasks is a single O(TK) pass.
-    return groups < tasks ? MvaKernelPath::kGrouped
-                          : ResolveMvaKernelPath(requested, tasks);
-  }
-  return requested;
-}
-
 MvaKernelResult RunOverlapMvaFixedPoint(MvaKernelScratch& scratch,
                                         double tolerance, int max_iterations,
-                                        double damping, MvaKernelPath path,
+                                        double damping,
                                         const FlatMatrix* initial_residence) {
-  path = ResolveMvaKernelPath(path, scratch.tasks());
   MvaKernelResult result;
-  // The per-task iteration refreshes q from residence at the top of
-  // every sweep, so seeding residence (+ response sums) is sufficient.
+  // The oracle refreshes q from residence at the top of every sweep, so
+  // seeding residence (+ response sums) is sufficient.
   result.warm_started = SeedInitialResidence(scratch, initial_residence);
   for (int iter = 1; iter <= max_iterations; ++iter) {
     RefreshQ(scratch);
-    const double max_delta = path == MvaKernelPath::kBlocked
-                                 ? BlockedSweep(scratch, damping)
-                                 : ScalarSweep(scratch, damping);
+    const double max_delta = ScalarSweep(scratch, damping);
     result.iterations = iter;
     if (max_delta <= tolerance) {
       result.converged = true;

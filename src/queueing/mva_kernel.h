@@ -1,39 +1,40 @@
 /// \file mva_kernel.h
-/// \brief Flat, cache-friendly compute kernel for the overlap-MVA fixed
-/// point (the hot path of the modified-MVA loop: O(tasks² × centers) per
-/// iteration, re-solved for every sweep point).
+/// \brief Flat, cache-friendly compute kernels for the overlap-MVA fixed
+/// point (activity A4 of the modified-MVA loop, re-solved every outer
+/// iteration of every sweep point).
 ///
 /// The solver state lives in contiguous row-major buffers instead of
-/// vector-of-vectors: `residence`, `q` and `interference` are T×K, the
-/// θ matrix is T×T with a zeroed diagonal. Three paths compute the
-/// per-iteration interference term Σ_{j≠i} θ_ij · q_{j,k}:
+/// vector-of-vectors: `residence`, `q` and `interference` are T×K and
+/// the θ matrix is T×T, where a row is one task equivalence class in
+/// production and one task in the oracle. Two kernels compute the
+/// per-iteration interference term Σ_j θ_ij · q_{j,k}:
 ///
-///  - **Scalar reference** — the original per-(i,k) gather loop, kept as
-///    the semantic baseline (and the faster choice for tiny problems).
-///  - **Blocked** — the whole term as a T×T · T×K matrix product in
-///    i-tiles, so the inner loop is a straight-line multiply–add over
-///    contiguous rows that the compiler auto-vectorizes.
-///  - **Grouped** — the same blocked product over G task *equivalence
-///    classes* instead of T tasks. The timeline emits map/reduce tasks
-///    in large batches with identical intervals, demands and θ rows;
-///    all members of such a class stay identical through every
-///    fixed-point iteration, so the iteration runs exactly on G×K
-///    buffers with a count-weighted θ matrix (one member interferes
-///    with `count−1` siblings at the intra-class factor). Per-iteration
-///    cost drops from O(T²K) to O(G²K) and the q-row refresh is fused
-///    into the residence update (no separate RefreshQ pass).
+///  - **Grouped (production)** — the term as a blocked T×T · T×K matrix
+///    product over G task *equivalence classes*. The timeline emits
+///    map/reduce tasks in large batches with identical intervals,
+///    demands and θ rows; all members of such a class stay identical
+///    through every fixed-point iteration, so the iteration runs exactly
+///    on G×K buffers with a count-weighted θ matrix (one member
+///    interferes with `count−1` siblings at the intra-class factor).
+///    The inner loop is a straight-line multiply–add over contiguous
+///    rows that the compiler vectorizes, and the q-row refresh is fused
+///    into the residence update. Every A4 solve runs this kernel,
+///    whatever G is.
+///  - **Scalar oracle** — the original per-task, per-(i,k) gather loop
+///    with a separate q refresh per sweep, kept only as the slow
+///    reference the grouped kernel is checked against (tests and
+///    benches; see SolveOverlapMva in mva_overlap.h).
 ///
-/// The scalar and blocked paths accumulate every (i,k) element in
-/// ascending-j order and the packed diagonal is exactly 0.0 (adding
-/// +0.0 to the non-negative partial sums is a bitwise identity), so
-/// those two paths are **bit-for-bit identical** — asserted by
-/// tests/queueing/mva_kernel_test on the calibrated figure problems and
-/// on random instances. The grouped path collapses sibling summands
-/// into one `count·θ·q` multiply, which reorders floating point: it
-/// matches the per-task reference within solver tolerance (and is
-/// bit-identical when every class is a singleton, where the weighted
-/// matrix degenerates to θ itself). SolveCache therefore keys
-/// grouped solves separately from per-task solves.
+/// When every class is a singleton the count-weighted matrix is θ with
+/// an exact +0.0 diagonal, every (i,k) element accumulates in
+/// ascending-j order in both kernels (adding +0.0 to a non-negative
+/// partial sum is a bitwise identity), and the fused q refresh computes
+/// what the oracle's refresh computes at the top of the next sweep — so
+/// the two kernels are **bit-for-bit identical** there, asserted by
+/// tests/queueing/mva_kernel_test on figure-shaped and random problems.
+/// With real classes the grouped kernel collapses sibling summands into
+/// one `count·θ·q` multiply, which reorders floating point: it matches
+/// the oracle on the expanded problem within solver tolerance.
 
 #pragma once
 
@@ -42,22 +43,6 @@
 #include <vector>
 
 namespace mrperf {
-
-/// \brief Which interference kernel the overlap-MVA iteration uses.
-enum class MvaKernelPath {
-  /// Pick per problem size: blocked for large task counts, scalar below
-  /// the crossover. The default for all callers.
-  kAuto,
-  /// Original nested gather loops (reference semantics).
-  kScalar,
-  /// Blocked T×T · T×K product over contiguous rows (vectorizable).
-  kBlocked,
-  /// Group-compressed fixed point: the blocked product over G task
-  /// equivalence classes with count-weighted θ and a fused q refresh.
-  /// Only meaningful for grouped problems (mva_overlap.h); a per-task
-  /// solve asked for kGrouped degenerates to kBlocked.
-  kGrouped,
-};
 
 /// \brief Minimal contiguous row-major matrix used by the MVA solvers.
 ///
@@ -77,7 +62,7 @@ struct FlatMatrix {
   }
   /// Reshape without the O(r·c) zero pass: contents are unspecified and
   /// every element must be written before it is read. The kernel pack
-  /// path qualifies (pack/RefreshQ/both sweeps overwrite everything),
+  /// path qualifies (pack/RefreshQ/both kernels overwrite everything),
   /// which makes per-worker scratch reuse memset-free as well as
   /// allocation-free.
   void ReshapeUninit(size_t r, size_t c) {
@@ -98,9 +83,12 @@ struct FlatMatrix {
 /// allocations that otherwise dominate small problems. A scratch is not
 /// thread-safe: use one per thread.
 struct MvaKernelScratch {
-  // Problem, packed row-major (filled by PackOverlapMvaProblem).
+  // Problem, packed row-major (PackGroupedOverlapMvaProblem or the
+  // oracle's PackOverlapMvaProblem, mva_overlap.h).
   FlatMatrix demand;   ///< T×K service demands.
-  FlatMatrix overlap;  ///< T×T θ matrix, diagonal forced to 0.0.
+  /// T×T interference weights: the count-weighted W of the grouped
+  /// kernel, or the oracle's θ (diagonal never read).
+  FlatMatrix overlap;
   /// K; 1 / server_count, so the update loop multiplies instead of
   /// dividing (exact for the power-of-two server counts clusters use;
   /// otherwise within 1 ulp — far inside solver tolerance).
@@ -110,7 +98,7 @@ struct MvaKernelScratch {
   // Iteration state / outputs.
   FlatMatrix residence;     ///< T×K; final residence times.
   FlatMatrix q;             ///< T×K; conditional location probabilities.
-  FlatMatrix interference;  ///< T×K; Σ_j θ_ij · q_{j,k} (blocked path).
+  FlatMatrix interference;  ///< T×K; Σ_j θ_ij · q_{j,k}.
   std::vector<double> response;  ///< T; row sums of residence.
 
   size_t tasks() const { return demand.rows; }
@@ -132,20 +120,8 @@ struct MvaKernelResult {
   bool warm_started = false;
 };
 
-/// \brief Resolves kAuto to a concrete path for a T-task problem.
-/// kGrouped resolves to kBlocked here: a per-task problem carries no
-/// group structure (it is all singleton classes, where grouped and
-/// blocked coincide bit-for-bit).
-MvaKernelPath ResolveMvaKernelPath(MvaKernelPath requested, size_t tasks);
-
-/// \brief Resolves the path for a grouped problem with `tasks` members
-/// in `groups` classes. kAuto picks kGrouped whenever the compression is
-/// real (groups < tasks) and falls back to the per-task resolution when
-/// every class is a singleton.
-MvaKernelPath ResolveGroupedMvaKernelPath(MvaKernelPath requested,
-                                          size_t tasks, size_t groups);
-
-/// \brief Runs the damped overlap-MVA fixed point on packed buffers.
+/// \brief Runs the scalar oracle: the damped per-task overlap-MVA fixed
+/// point on packed buffers, one gather loop per (task, center).
 ///
 /// Expects `scratch` packed by PackOverlapMvaProblem (mva_overlap.h);
 /// `residence` must hold the zero-contention initial guess (== demand)
@@ -164,11 +140,12 @@ MvaKernelPath ResolveGroupedMvaKernelPath(MvaKernelPath requested,
 /// a cold solve by up to that tolerance.
 MvaKernelResult RunOverlapMvaFixedPoint(MvaKernelScratch& scratch,
                                         double tolerance, int max_iterations,
-                                        double damping, MvaKernelPath path,
+                                        double damping,
                                         const FlatMatrix* initial_residence =
                                             nullptr);
 
-/// \brief Runs the group-compressed fixed point on packed G-row buffers.
+/// \brief Runs the production kernel: the group-compressed fixed point
+/// on packed G-row buffers.
 ///
 /// Expects `scratch` packed by PackGroupedOverlapMvaProblem
 /// (mva_overlap.h): `overlap` holds the count-weighted G×G matrix
@@ -179,7 +156,7 @@ MvaKernelResult RunOverlapMvaFixedPoint(MvaKernelScratch& scratch,
 /// so an iteration is one pass over G×K state instead of two.
 ///
 /// `initial_residence` warm-starts the G×K iteration exactly like the
-/// per-task kernel above; the q rows are re-refreshed from the seeded
+/// oracle above; the q rows are re-refreshed from the seeded
 /// residence (this kernel has no leading RefreshQ pass).
 MvaKernelResult RunGroupedOverlapMvaFixedPoint(MvaKernelScratch& scratch,
                                                double tolerance,

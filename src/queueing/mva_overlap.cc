@@ -164,7 +164,7 @@ void PackOverlapMvaProblem(const OverlapMvaProblem& problem,
   const size_t T = problem.tasks.size();
   const size_t K = problem.centers.size();
   // Uninitialized reshape: every element below is overwritten before
-  // use (q by RefreshQ, interference by either sweep's first pass).
+  // use (q by RefreshQ, interference by the sweep's gather loop).
   scratch->demand.ReshapeUninit(T, K);
   scratch->overlap.ReshapeUninit(T, T);
   scratch->residence.ReshapeUninit(T, K);
@@ -191,10 +191,8 @@ void PackOverlapMvaProblem(const OverlapMvaProblem& problem,
       response += demand[k];
     }
     scratch->response[i] = response;
+    // The diagonal is copied but never read: the gather loop skips j == i.
     for (size_t j = 0; j < T; ++j) theta[j] = problem.overlap[i][j];
-    // The solver ignores self-overlap; a hard 0.0 lets the blocked
-    // product include j == i as an exact no-op.
-    theta[i] = 0.0;
   }
 }
 
@@ -213,7 +211,7 @@ Result<OverlapMvaSolution> SolveOverlapMva(const OverlapMvaProblem& problem,
 
   const MvaKernelResult run = RunOverlapMvaFixedPoint(
       s, options.tolerance, options.max_iterations, options.damping,
-      options.kernel, options.initial_residence);
+      options.initial_residence);
   if (!run.converged) {
     return Status::NotConverged(
         "overlap MVA did not converge within max_iterations");
@@ -348,21 +346,9 @@ Result<OverlapMvaSolution> SolveGroupedOverlapMvaGroupLevel(
 Result<OverlapMvaSolution> SolveGroupedOverlapMva(
     const GroupedOverlapMvaProblem& problem, const OverlapMvaOptions& options,
     MvaKernelScratch* scratch) {
-  if (!options.assume_valid) {
-    MRPERF_RETURN_NOT_OK(problem.Validate());
-  }
-  OverlapMvaOptions opts = options;
-  opts.assume_valid = true;  // validated above (or by the caller)
-  const MvaKernelPath path = ResolveGroupedMvaKernelPath(
-      options.kernel, problem.TotalTasks(), problem.groups.size());
-  if (path != MvaKernelPath::kGrouped) {
-    // Reference-oracle paths: materialize the per-task problem (valid by
-    // construction from a valid grouped one) and run the dense kernels.
-    return SolveOverlapMva(problem.Expand(), opts, scratch);
-  }
   MRPERF_ASSIGN_OR_RETURN(
       OverlapMvaSolution group_sol,
-      SolveGroupedOverlapMvaGroupLevel(problem, opts, scratch));
+      SolveGroupedOverlapMvaGroupLevel(problem, options, scratch));
   return ExpandGroupedMvaSolution(group_sol, problem.task_group);
 }
 

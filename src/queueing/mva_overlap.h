@@ -14,6 +14,14 @@
 /// active task j resides at center k. The θ matrix combines the paper's
 /// intra-job α factors and inter-job β factors. The fixed point is solved by
 /// damped iteration.
+///
+/// One production path: SolveGroupedOverlapMva on a
+/// GroupedOverlapMvaProblem (task equivalence classes, mva_kernel.h's
+/// grouped kernel), whatever the class count. The per-task
+/// OverlapMvaProblem and SolveOverlapMva are the slow **oracle** that
+/// path is checked against: reachable from tests and benches only
+/// (tools/lint/check_source.py's `oracle-only` check bans calls from the
+/// rest of src/ and tools/).
 
 #pragma once
 
@@ -31,7 +39,9 @@ struct OverlapTask {
   std::vector<double> demand;
 };
 
-/// \brief Problem description for the overlap-adjusted MVA.
+/// \brief Per-task problem description: the oracle's input (one row per
+/// task, dense T×T θ). GroupedOverlapMvaProblem::Expand builds one from
+/// a production problem.
 struct OverlapMvaProblem {
   std::vector<ServiceCenter> centers;
   std::vector<OverlapTask> tasks;
@@ -78,9 +88,9 @@ struct GroupedOverlapMvaProblem {
   size_t TotalTasks() const;
   /// O(G² + T) structural validation.
   Status Validate() const;
-  /// Materializes the equivalent per-task problem (reference oracle):
-  /// tasks in task_group order when the map is present, else class by
-  /// class.
+  /// Materializes the equivalent per-task problem for the oracle
+  /// (SolveOverlapMva): tasks in task_group order when the map is
+  /// present, else class by class.
   OverlapMvaProblem Expand() const;
 };
 
@@ -91,24 +101,16 @@ struct OverlapMvaOptions {
   /// Under-relaxation in (0,1]; the default 0.5 is robust for the strongly
   /// coupled systems produced by many-map-task jobs.
   double damping = 0.5;
-  /// Interference kernel (mva_kernel.h). Scalar and blocked are
-  /// bit-for-bit identical; the grouped kernel matches them within
-  /// solver tolerance (bit-identical when every class is a singleton).
-  /// kAuto picks grouped when a grouped problem actually compresses,
-  /// else blocked for large task counts. Deliberately excluded from
-  /// SolveCache keys; grouped solves are keyed separately by their
-  /// compressed representation.
-  MvaKernelPath kernel = MvaKernelPath::kAuto;
   /// Skip the O(T²) / O(G²) problem validation: the caller guarantees a
-  /// problem valid by construction (model.cc's BuildMvaProblem, or a
+  /// problem valid by construction (model.cc's BuildGroupedMvaProblem, or a
   /// problem already validated at an API entry point — SolveCache
   /// validates once per SolveThrough and never re-validates on hits or
   /// the miss solve). Never affects results; not part of cache keys.
   bool assume_valid = false;
   /// Optional warm start (not owned; must outlive the solve): an initial
   /// residence matrix replacing the zero-contention start when its shape
-  /// matches the solved system — T×K for the per-task kernels, G×K for
-  /// the group-level kernel. A near-fixed-point guess (the previous
+  /// matches the solved system — T×K for the oracle, G×K for the
+  /// grouped kernel. A near-fixed-point guess (the previous
   /// outer-loop iterate, a neighboring sweep point's solution) cuts the
   /// iteration count by an order of magnitude; a mismatched shape is
   /// ignored (cold start, bit-identical to historical behavior).
@@ -133,7 +135,10 @@ struct OverlapMvaSolution {
   bool warm_started = false;
 };
 
-/// \brief Solves the overlap-adjusted MVA fixed point.
+/// \brief The oracle: solves the per-task fixed point with the scalar
+/// gather kernel. Slow (O(T²K) per sweep) and simple; production solves
+/// go through SolveGroupedOverlapMva, which is bit-identical to this on
+/// all-singleton problems and within solver tolerance otherwise.
 ///
 /// \param scratch optional reusable kernel buffers (one per thread); when
 /// null a solve-local scratch is used. Reusing a scratch across solves
@@ -143,20 +148,15 @@ Result<OverlapMvaSolution> SolveOverlapMva(
     const OverlapMvaProblem& problem, const OverlapMvaOptions& options = {},
     MvaKernelScratch* scratch = nullptr);
 
-/// \brief Packs `problem` into row-major kernel buffers: demands and the
-/// θ matrix (diagonal forced to 0.0), center metadata, and the
-/// zero-contention starting point (residence == demand).
+/// \brief Packs `problem` for the oracle (RunOverlapMvaFixedPoint):
+/// demands and the θ matrix, center metadata, and the zero-contention
+/// starting point (residence == demand).
 void PackOverlapMvaProblem(const OverlapMvaProblem& problem,
                            MvaKernelScratch* scratch);
 
-/// \brief Solves a group-compressed problem and returns the PER-TASK
-/// solution (groups expanded through `problem.task_group`; one row per
-/// class when the map is empty).
-///
-/// The kernel path (options.kernel, resolved by
-/// ResolveGroupedMvaKernelPath) picks between the O(G²K) grouped fixed
-/// point and the per-task reference oracles on the expanded problem;
-/// kAuto compresses whenever G < T.
+/// \brief The production A4 solve: runs the O(G²K) grouped fixed point
+/// and returns the PER-TASK solution (groups expanded through
+/// `problem.task_group`; one row per class when the map is empty).
 Result<OverlapMvaSolution> SolveGroupedOverlapMva(
     const GroupedOverlapMvaProblem& problem,
     const OverlapMvaOptions& options = {}, MvaKernelScratch* scratch = nullptr);

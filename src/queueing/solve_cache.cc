@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <utility>
 #include <vector>
-
-#include "queueing/mva_kernel.h"
 
 namespace mrperf {
 namespace {
@@ -23,24 +20,6 @@ void AppendDoubles(std::string* out, const std::vector<double>& values) {
   if (!values.empty()) {
     out->append(reinterpret_cast<const char*>(values.data()),
                 values.size() * sizeof(double));
-  }
-}
-
-/// Options + centers prefix shared by the per-task and grouped keys.
-/// `assume_valid` and `kernel` are deliberately excluded: neither
-/// affects which solution a key maps to (grouped-kernel solves are
-/// segregated by the grouped key's tag instead).
-void AppendKeyPrefix(std::string* key, const OverlapMvaOptions& options,
-                     const std::vector<ServiceCenter>& centers) {
-  AppendBytes(key, options.tolerance);
-  AppendBytes(key, options.max_iterations);
-  AppendBytes(key, options.damping);
-
-  AppendBytes(key, centers.size());
-  for (const ServiceCenter& c : centers) {
-    // Center names are labels only; they do not affect the solution.
-    AppendBytes(key, c.type);
-    AppendBytes(key, c.server_count);
   }
 }
 
@@ -86,36 +65,26 @@ SolveCache::SolveCache(int shards, int64_t max_entries)
   }
 }
 
-std::string SolveCache::MakeKey(const OverlapMvaProblem& problem,
-                                const OverlapMvaOptions& options) {
-  std::string key;
-  // Rough upfront estimate: demands + overlap rows dominate.
-  size_t doubles = problem.tasks.size() * problem.centers.size() +
-                   problem.overlap.size() * problem.overlap.size();
-  key.reserve(64 + doubles * sizeof(double));
-
-  key.push_back('T');  // per-task problem; solution has one row per task
-  AppendKeyPrefix(&key, options, problem.centers);
-  AppendBytes(&key, problem.tasks.size());
-  for (const OverlapTask& t : problem.tasks) {
-    AppendDoubles(&key, t.demand);
-  }
-  AppendBytes(&key, problem.overlap.size());
-  for (const std::vector<double>& row : problem.overlap) {
-    AppendDoubles(&key, row);
-  }
-  return key;
-}
-
 std::string SolveCache::MakeKey(const GroupedOverlapMvaProblem& problem,
                                 const OverlapMvaOptions& options) {
   std::string key;
+  // Rough upfront estimate: demands + overlap rows dominate.
   size_t doubles = problem.groups.size() * problem.centers.size() +
                    problem.overlap.size() * problem.overlap.size();
   key.reserve(64 + doubles * sizeof(double));
 
-  key.push_back('G');  // grouped problem; solution has one row per class
-  AppendKeyPrefix(&key, options, problem.centers);
+  // `assume_valid` is deliberately excluded: it never affects which
+  // solution a key maps to.
+  AppendBytes(&key, options.tolerance);
+  AppendBytes(&key, options.max_iterations);
+  AppendBytes(&key, options.damping);
+
+  AppendBytes(&key, problem.centers.size());
+  for (const ServiceCenter& c : problem.centers) {
+    // Center names are labels only; they do not affect the solution.
+    AppendBytes(&key, c.type);
+    AppendBytes(&key, c.server_count);
+  }
   AppendBytes(&key, problem.groups.size());
   for (const OverlapTaskGroup& g : problem.groups) {
     AppendBytes(&key, g.count);
@@ -130,13 +99,6 @@ std::string SolveCache::MakeKey(const GroupedOverlapMvaProblem& problem,
 
 namespace {
 
-/// The cache holds cold solves only (see SolveThrough in the header).
-Status RejectSeed(const OverlapMvaOptions& options) {
-  if (options.initial_residence == nullptr) return Status::OK();
-  return Status::InvalidArgument(
-      "SolveThrough solves cold; initial_residence must be null");
-}
-
 void FillInfo(SolveThroughInfo* info, int iterations) {
   if (info != nullptr) info->iterations = iterations;
 }
@@ -144,46 +106,20 @@ void FillInfo(SolveThroughInfo* info, int iterations) {
 }  // namespace
 
 Result<OverlapMvaSolution> SolveCache::SolveThrough(
-    const OverlapMvaProblem& problem, const OverlapMvaOptions& options,
-    MvaKernelScratch* scratch, SolveThroughInfo* info) {
-  MRPERF_RETURN_NOT_OK(RejectSeed(options));
-  // Validate once at entry; the hot loop below (hits, the miss solve)
-  // never re-walks the O(T²) overlap matrix.
-  if (!options.assume_valid) {
-    MRPERF_RETURN_NOT_OK(problem.Validate());
-  }
-  OverlapMvaOptions opts = options;
-  opts.assume_valid = true;
-  const std::string key = MakeKey(problem, opts);
-  if (std::optional<OverlapMvaSolution> hit = Lookup(key)) {
-    FillInfo(info, 0);
-    return *std::move(hit);
-  }
-  Result<OverlapMvaSolution> solved = SolveOverlapMva(problem, opts, scratch);
-  if (solved.ok()) {
-    Insert(key, *solved);
-    RecordSolve(solved->iterations);
-    FillInfo(info, solved->iterations);
-  }
-  return solved;
-}
-
-Result<OverlapMvaSolution> SolveCache::SolveThrough(
     const GroupedOverlapMvaProblem& problem, const OverlapMvaOptions& options,
     MvaKernelScratch* scratch, SolveThroughInfo* info) {
-  MRPERF_RETURN_NOT_OK(RejectSeed(options));
+  // The cache holds cold solves only (see the header).
+  if (options.initial_residence != nullptr) {
+    return Status::InvalidArgument(
+        "SolveThrough solves cold; initial_residence must be null");
+  }
+  // Validate once at entry; the hot loop below (hits, the miss solve)
+  // never re-walks the O(G²) overlap matrix.
   if (!options.assume_valid) {
     MRPERF_RETURN_NOT_OK(problem.Validate());
   }
   OverlapMvaOptions opts = options;
   opts.assume_valid = true;
-  const MvaKernelPath path = ResolveGroupedMvaKernelPath(
-      opts.kernel, problem.TotalTasks(), problem.groups.size());
-  if (path != MvaKernelPath::kGrouped) {
-    // Reference-oracle paths run (and cache) at per-task granularity so
-    // their hits stay bit-identical to dense recomputation.
-    return SolveThrough(problem.Expand(), opts, scratch, info);
-  }
   const std::string key = MakeKey(problem, opts);
   if (std::optional<OverlapMvaSolution> hit = Lookup(key)) {
     FillInfo(info, 0);

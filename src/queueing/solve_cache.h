@@ -1,14 +1,14 @@
 /// \file solve_cache.h
 /// \brief The solve cache every consumer of the solver stack (model,
-/// sweep engine, serving layer) shares: an exact memo of overlap-MVA
-/// fixed points.
+/// sweep engine, serving layer) shares: an exact memo of grouped
+/// overlap-MVA fixed points.
 ///
 /// The modified-MVA loop (model.cc, activity A4) and sweep workloads
 /// solve many structurally identical overlap-MVA fixed points: a
 /// period-2 placement cycle alternates between two exact problems,
 /// calibration sweeps re-solve the same model points under unchanged
 /// model knobs, and concurrent jobs with symmetric placement produce
-/// duplicate networks. Since SolveOverlapMva is a pure function of
+/// duplicate networks. Since the grouped solve is a pure function of
 /// (problem, options), keys are the exact packed bytes of that pair, so
 /// a hit is bit-identical to recomputation. That invariant is what
 /// makes every operation here — sharding, eviction — unable to perturb
@@ -95,15 +95,10 @@ class SolveCache {
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
 
-  /// Serializes the problem + options into an exact lookup key.
-  static std::string MakeKey(const OverlapMvaProblem& problem,
-                             const OverlapMvaOptions& options);
-
-  /// Compressed key for a grouped problem: centers, per-class
-  /// (count, demand) and the G×G θ blocks — `task_group` is excluded,
-  /// since it only orders the expansion of the shared group-level
-  /// solution. Tagged so grouped keys can never collide with per-task
-  /// keys (their cached solutions have different shapes).
+  /// Serializes the problem + options into an exact lookup key: the
+  /// solver options, centers, per-class (count, demand) and the G×G θ
+  /// blocks. `task_group` is excluded, since it only orders the
+  /// expansion of the shared group-level solution.
   static std::string MakeKey(const GroupedOverlapMvaProblem& problem,
                              const OverlapMvaOptions& options);
 
@@ -139,8 +134,10 @@ class SolveCache {
   /// solver-effort counters. Shows how keys spread over the shards.
   MvaCacheStats shard_stats(int index) const;
 
-  /// Convenience wrapper: lookup, else solve and insert. Forwards solver
-  /// errors unchanged; errors are never cached. `scratch` (optional,
+  /// Convenience wrapper: lookup, else solve and insert. The entry is
+  /// the group-level solution (one row per class), expanded through
+  /// `problem.task_group` on every call. Forwards solver errors
+  /// unchanged; errors are never cached. `scratch` (optional,
   /// per-thread) is handed to the solver on a miss. Validates the
   /// problem ONCE at entry (unless options.assume_valid) — hits and the
   /// miss solve never re-validate. `info` (optional) receives the
@@ -153,16 +150,6 @@ class SolveCache {
   /// inserted first decide the bits every later lookup sees. Rejecting
   /// seeds keeps the memo invariant: a hit is bit-identical to a cold
   /// recomputation, always.
-  Result<OverlapMvaSolution> SolveThrough(const OverlapMvaProblem& problem,
-                                          const OverlapMvaOptions& options,
-                                          MvaKernelScratch* scratch = nullptr,
-                                          SolveThroughInfo* info = nullptr);
-
-  /// Grouped SolveThrough: stores/reuses the group-level solution under
-  /// the compressed key and expands it through `problem.task_group` per
-  /// call. When options.kernel resolves to a per-task reference path,
-  /// delegates to the dense SolveThrough on the expanded problem.
-  /// Seeded calls are rejected exactly as above.
   Result<OverlapMvaSolution> SolveThrough(
       const GroupedOverlapMvaProblem& problem,
       const OverlapMvaOptions& options, MvaKernelScratch* scratch = nullptr,

@@ -1,8 +1,10 @@
-/// Group-compressed overlap-MVA: the grouped kernel must solve the same
-/// fixed point as the per-task reference within solver tolerance on
-/// every problem (random instances included), degenerate bit-for-bit to
-/// the blocked path when every class is a singleton, and cache at class
-/// granularity so structurally identical problems hit by construction.
+/// Group-compressed overlap-MVA, production vs oracle: the grouped
+/// kernel (SolveGroupedOverlapMva) must solve the same fixed point as
+/// the scalar oracle on the expanded problem (SolveOverlapMva(Expand()))
+/// within solver tolerance on every problem (random instances
+/// included), match it bit for bit when every class is a singleton, and
+/// cache at class granularity so structurally identical problems hit by
+/// construction.
 
 #include <algorithm>
 #include <cmath>
@@ -22,8 +24,8 @@
 namespace mrperf {
 namespace {
 
-/// Relative agreement bound between grouped and per-task solves: the
-/// paths reorder floating point (count-weighted multiplies vs sibling
+/// Relative agreement bound between the grouped kernel and the oracle:
+/// they reorder floating point (count-weighted multiplies vs sibling
 /// sums) but iterate the same contraction to tolerance 1e-10.
 constexpr double kPathRelTol = 1e-8;
 
@@ -101,12 +103,16 @@ GroupedOverlapMvaProblem RandomGroupedProblem(Rng& rng) {
   return p;
 }
 
-Result<OverlapMvaSolution> SolveWith(const GroupedOverlapMvaProblem& p,
-                                     MvaKernelPath path,
-                                     MvaKernelScratch* scratch = nullptr) {
-  OverlapMvaOptions opts;
-  opts.kernel = path;
-  return SolveGroupedOverlapMva(p, opts, scratch);
+Result<OverlapMvaSolution> Production(const GroupedOverlapMvaProblem& p,
+                                      MvaKernelScratch* scratch = nullptr) {
+  return SolveGroupedOverlapMva(p, {}, scratch);
+}
+
+/// The scalar oracle on the expanded per-task problem; rows follow
+/// `task_group` order, like the production solution's.
+Result<OverlapMvaSolution> Oracle(const GroupedOverlapMvaProblem& p,
+                                  MvaKernelScratch* scratch = nullptr) {
+  return SolveOverlapMva(p.Expand(), {}, scratch);
 }
 
 void ExpectWithinRelTol(const OverlapMvaSolution& ref,
@@ -159,8 +165,8 @@ TEST(MvaGroupedTest, GroupedMatchesScalarReferenceOnFigureShapes) {
     for (int groups : {1, 4, 7}) {
       const GroupedOverlapMvaProblem p =
           StripedGroupedProblem(groups, per_group, 4, 0.8);
-      auto grouped = SolveWith(p, MvaKernelPath::kGrouped);
-      auto scalar = SolveWith(p, MvaKernelPath::kScalar);
+      auto grouped = Production(p);
+      auto scalar = Oracle(p);
       ASSERT_TRUE(grouped.ok()) << grouped.status().ToString();
       ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
       ExpectWithinRelTol(*scalar, *grouped);
@@ -174,8 +180,8 @@ TEST(MvaGroupedTest, GroupedMatchesScalarReferenceOnRandomProblems) {
   Rng rng(0xBADC0DEull);
   for (int trial = 0; trial < 50; ++trial) {
     const GroupedOverlapMvaProblem p = RandomGroupedProblem(rng);
-    auto grouped = SolveWith(p, MvaKernelPath::kGrouped);
-    auto scalar = SolveWith(p, MvaKernelPath::kScalar);
+    auto grouped = Production(p);
+    auto scalar = Oracle(p);
     ASSERT_EQ(grouped.ok(), scalar.ok()) << "trial " << trial;
     if (!grouped.ok()) continue;  // both NotConverged is agreement too
     ExpectWithinRelTol(*scalar, *grouped);
@@ -184,8 +190,8 @@ TEST(MvaGroupedTest, GroupedMatchesScalarReferenceOnRandomProblems) {
 
 TEST(MvaGroupedTest, SingletonClassesDegenerateBitwiseToBlocked) {
   // With every count == 1 the weighted matrix is θ with a zero diagonal
-  // and the grouped iteration is exactly the blocked one: bit-identity,
-  // not tolerance (the ISSUE's degenerate-path invariant).
+  // and the grouped iteration is exactly the oracle's: bit-identity, not
+  // tolerance. Every all-singleton A4 problem relies on this.
   Rng rng(0x5EEDull);
   for (int trial = 0; trial < 20; ++trial) {
     GroupedOverlapMvaProblem p = RandomGroupedProblem(rng);
@@ -194,17 +200,17 @@ TEST(MvaGroupedTest, SingletonClassesDegenerateBitwiseToBlocked) {
     for (size_t g = 0; g < p.groups.size(); ++g) {
       p.task_group.push_back(static_cast<int>(g));
     }
-    auto grouped = SolveWith(p, MvaKernelPath::kGrouped);
-    auto blocked = SolveWith(p, MvaKernelPath::kBlocked);
-    ASSERT_EQ(grouped.ok(), blocked.ok()) << "trial " << trial;
+    auto grouped = Production(p);
+    auto oracle = Oracle(p);
+    ASSERT_EQ(grouped.ok(), oracle.ok()) << "trial " << trial;
     if (!grouped.ok()) continue;
-    ExpectBitIdentical(*blocked, *grouped);
+    ExpectBitIdentical(*oracle, *grouped);
   }
 }
 
 TEST(MvaGroupedTest, ExpansionFollowsTaskGroupOrder) {
   const GroupedOverlapMvaProblem p = StripedGroupedProblem(3, 2, 4, 0.5);
-  auto sol = SolveWith(p, MvaKernelPath::kGrouped);
+  auto sol = Production(p);
   ASSERT_TRUE(sol.ok());
   ASSERT_EQ(sol->response.size(), p.TotalTasks());
   // Members of one class are identical rows; classes differ (demands
@@ -222,7 +228,7 @@ TEST(MvaGroupedTest, GroupLevelSolutionHasOneRowPerClass) {
   const OverlapMvaSolution expanded =
       ExpandGroupedMvaSolution(*group_level, p.task_group);
   EXPECT_EQ(expanded.response.size(), p.TotalTasks());
-  auto direct = SolveWith(p, MvaKernelPath::kGrouped);
+  auto direct = Production(p);
   ASSERT_TRUE(direct.ok());
   ExpectBitIdentical(*direct, expanded);
 }
@@ -231,14 +237,14 @@ TEST(MvaGroupedTest, ScratchReuseAcrossGroupedAndDenseSolvesIsClean) {
   MvaKernelScratch scratch;
   const GroupedOverlapMvaProblem big = StripedGroupedProblem(6, 8, 4, 0.7);
   const GroupedOverlapMvaProblem small = StripedGroupedProblem(2, 1, 4, 0.3);
-  auto big_fresh = SolveWith(big, MvaKernelPath::kGrouped);
-  auto small_fresh = SolveWith(small, MvaKernelPath::kGrouped);
+  auto big_fresh = Production(big);
+  auto small_fresh = Production(small);
   ASSERT_TRUE(big_fresh.ok());
   ASSERT_TRUE(small_fresh.ok());
-  auto big1 = SolveWith(big, MvaKernelPath::kGrouped, &scratch);
-  auto dense = SolveWith(big, MvaKernelPath::kBlocked, &scratch);
-  auto small1 = SolveWith(small, MvaKernelPath::kGrouped, &scratch);
-  auto big2 = SolveWith(big, MvaKernelPath::kGrouped, &scratch);
+  auto big1 = Production(big, &scratch);
+  auto dense = Oracle(big, &scratch);
+  auto small1 = Production(small, &scratch);
+  auto big2 = Production(big, &scratch);
   ASSERT_TRUE(big1.ok());
   ASSERT_TRUE(dense.ok());
   ASSERT_TRUE(small1.ok());
@@ -246,22 +252,6 @@ TEST(MvaGroupedTest, ScratchReuseAcrossGroupedAndDenseSolvesIsClean) {
   ExpectBitIdentical(*big_fresh, *big1);
   ExpectBitIdentical(*small_fresh, *small1);
   ExpectBitIdentical(*big_fresh, *big2);
-}
-
-TEST(MvaGroupedTest, ResolveAutoPicksGroupedOnlyWhenCompressed) {
-  EXPECT_EQ(ResolveGroupedMvaKernelPath(MvaKernelPath::kAuto, 256, 8),
-            MvaKernelPath::kGrouped);
-  EXPECT_EQ(ResolveGroupedMvaKernelPath(MvaKernelPath::kAuto, 256, 256),
-            MvaKernelPath::kBlocked);
-  EXPECT_EQ(ResolveGroupedMvaKernelPath(MvaKernelPath::kAuto, 4, 4),
-            MvaKernelPath::kScalar);
-  EXPECT_EQ(ResolveGroupedMvaKernelPath(MvaKernelPath::kScalar, 256, 8),
-            MvaKernelPath::kScalar);
-  EXPECT_EQ(ResolveGroupedMvaKernelPath(MvaKernelPath::kGrouped, 4, 4),
-            MvaKernelPath::kGrouped);
-  // Per-task problems have no group structure: grouped degenerates.
-  EXPECT_EQ(ResolveMvaKernelPath(MvaKernelPath::kGrouped, 256),
-            MvaKernelPath::kBlocked);
 }
 
 TEST(MvaGroupedTest, ValidateCatchesStructuralErrors) {
@@ -358,33 +348,6 @@ TEST(MvaGroupedCacheTest, HitsAreBitIdenticalToRecomputation) {
   }
 }
 
-TEST(MvaGroupedCacheTest, ReferencePathsCacheAtTaskGranularity) {
-  // A grouped SolveThrough under a per-task kernel delegates to the
-  // dense cache: its entries are shared with dense solves of the
-  // expanded problem, and hits stay bit-identical to the dense path.
-  const GroupedOverlapMvaProblem p = StripedGroupedProblem(3, 2, 4, 0.5);
-  OverlapMvaOptions opts;
-  opts.kernel = MvaKernelPath::kBlocked;
-  for (int shards : kShardCounts) {
-    SCOPED_TRACE(shards);
-    SolveCache cache(shards);
-    auto grouped_entry = cache.SolveThrough(p, opts);
-    auto dense_entry = cache.SolveThrough(p.Expand(), opts);
-    ASSERT_TRUE(grouped_entry.ok());
-    ASSERT_TRUE(dense_entry.ok());
-    EXPECT_EQ(cache.stats().misses, 1);
-    EXPECT_EQ(cache.stats().hits, 1);
-    ExpectBitIdentical(*grouped_entry, *dense_entry);
-  }
-}
-
-TEST(MvaGroupedCacheTest, GroupedAndDenseKeysNeverCollide) {
-  const GroupedOverlapMvaProblem p = StripedGroupedProblem(3, 1, 4, 0.5);
-  const OverlapMvaOptions opts;
-  EXPECT_NE(SolveCache::MakeKey(p, opts),
-            SolveCache::MakeKey(p.Expand(), opts));
-}
-
 /// Random timeline: tasks draw jobs/nodes/intervals/demands from small
 /// pools, so equivalence classes of every multiplicity (including
 /// singletons) appear.
@@ -474,10 +437,8 @@ TEST(MvaGroupedTest, RandomTimelinesGroupedPipelineMatchesDense) {
       }
     }
 
-    OverlapMvaOptions scalar_opts;
-    scalar_opts.kernel = MvaKernelPath::kScalar;
-    auto reference = SolveOverlapMva(dense, scalar_opts);
-    auto compressed = SolveWith(grouped, MvaKernelPath::kGrouped);
+    auto reference = SolveOverlapMva(dense);
+    auto compressed = Production(grouped);
     ASSERT_EQ(reference.ok(), compressed.ok()) << "trial " << trial;
     if (!reference.ok()) continue;
     ExpectWithinRelTol(*reference, *compressed);

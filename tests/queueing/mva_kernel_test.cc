@@ -1,8 +1,11 @@
-/// Kernel-path equivalence: the blocked (vectorized) interference
-/// product must be bit-for-bit identical to the scalar reference on
-/// every problem — the figure-calibrated shapes and random instances —
-/// so that kernel selection can never perturb golden figure series or
-/// cache hits.
+/// Production vs oracle at the kernel level: a per-task problem solved
+/// as T singleton classes through SolveGroupedOverlapMva — the
+/// production kernel, whose blocked interference product carries the
+/// SIMD clones — must be bit-for-bit identical to the scalar oracle
+/// (SolveOverlapMva) on every problem, figure-calibrated shapes and
+/// random instances alike. All-singleton A4 problems are real (small
+/// clusters, one map per node), and this is what keeps their
+/// predictions on the oracle's bits.
 
 #include "queueing/mva_kernel.h"
 
@@ -81,12 +84,25 @@ OverlapMvaProblem RandomProblem(Rng& rng) {
   return p;
 }
 
-Result<OverlapMvaSolution> SolveWith(const OverlapMvaProblem& p,
-                                     MvaKernelPath path,
-                                     MvaKernelScratch* scratch = nullptr) {
-  OverlapMvaOptions opts;
-  opts.kernel = path;
-  return SolveOverlapMva(p, opts, scratch);
+/// The same problem as T singleton classes, in task order.
+GroupedOverlapMvaProblem SingletonClasses(const OverlapMvaProblem& p) {
+  GroupedOverlapMvaProblem grouped;
+  grouped.centers = p.centers;
+  for (const OverlapTask& task : p.tasks) {
+    grouped.groups.push_back({task.demand, /*count=*/1});
+  }
+  grouped.overlap = p.overlap;
+  return grouped;
+}
+
+Result<OverlapMvaSolution> Production(const OverlapMvaProblem& p,
+                                      MvaKernelScratch* scratch = nullptr) {
+  return SolveGroupedOverlapMva(SingletonClasses(p), {}, scratch);
+}
+
+Result<OverlapMvaSolution> Oracle(const OverlapMvaProblem& p,
+                                  MvaKernelScratch* scratch = nullptr) {
+  return SolveOverlapMva(p, {}, scratch);
 }
 
 void ExpectBitIdentical(const OverlapMvaSolution& a,
@@ -105,12 +121,13 @@ void ExpectBitIdentical(const OverlapMvaSolution& a,
 
 TEST(MvaKernelTest, BlockedMatchesScalarOnFigureShapedProblems) {
   // The calibrated figure grids use 4/6/8-node clusters; golden check
-  // that the vectorized path is bit-for-bit the scalar reference there.
+  // that the vectorized production kernel is bit-for-bit the scalar
+  // oracle there.
   for (int nodes : {4, 6, 8}) {
     for (int tasks : {3, 9, 17, 40, 65}) {
       const OverlapMvaProblem p = StripedProblem(tasks, nodes, 0.8);
-      auto scalar = SolveWith(p, MvaKernelPath::kScalar);
-      auto blocked = SolveWith(p, MvaKernelPath::kBlocked);
+      auto scalar = Oracle(p);
+      auto blocked = Production(p);
       ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
       ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
       ExpectBitIdentical(*scalar, *blocked);
@@ -120,67 +137,45 @@ TEST(MvaKernelTest, BlockedMatchesScalarOnFigureShapedProblems) {
 
 TEST(MvaKernelTest, BlockedMatchesScalarOnRandomProblems) {
   // Property test: random shapes, demands (including zero columns),
-  // asymmetric θ, delay centers, multi-server centers. The ISSUE floor
-  // is agreement within solver tolerance; the construction actually
-  // guarantees bitwise equality, so assert that.
+  // asymmetric θ, delay centers, multi-server centers. Singleton classes
+  // make the weighted matrix θ itself with a +0.0 diagonal, so the
+  // production kernel is not merely within tolerance of the oracle but
+  // bit-identical to it.
   Rng rng(0xC0FFEEull);
   for (int trial = 0; trial < 50; ++trial) {
     const OverlapMvaProblem p = RandomProblem(rng);
-    auto scalar = SolveWith(p, MvaKernelPath::kScalar);
-    auto blocked = SolveWith(p, MvaKernelPath::kBlocked);
+    auto scalar = Oracle(p);
+    auto blocked = Production(p);
     ASSERT_EQ(scalar.ok(), blocked.ok()) << "trial " << trial;
     if (!scalar.ok()) continue;  // both NotConverged is agreement too
     ExpectBitIdentical(*scalar, *blocked);
-    for (size_t i = 0; i < scalar->response.size(); ++i) {
-      EXPECT_NEAR(scalar->response[i], blocked->response[i],
-                  1e-9 * scalar->response[i])
-          << "trial " << trial;
-    }
   }
-}
-
-TEST(MvaKernelTest, AutoPathMatchesBothExplicitPaths) {
-  for (int tasks : {4, 64}) {
-    const OverlapMvaProblem p = StripedProblem(tasks, 4, 0.7);
-    auto auto_sol = SolveWith(p, MvaKernelPath::kAuto);
-    auto scalar = SolveWith(p, MvaKernelPath::kScalar);
-    ASSERT_TRUE(auto_sol.ok());
-    ASSERT_TRUE(scalar.ok());
-    ExpectBitIdentical(*scalar, *auto_sol);
-  }
-}
-
-TEST(MvaKernelTest, ResolveAutoPicksBlockedForLargeProblems) {
-  EXPECT_EQ(ResolveMvaKernelPath(MvaKernelPath::kAuto, 256),
-            MvaKernelPath::kBlocked);
-  EXPECT_EQ(ResolveMvaKernelPath(MvaKernelPath::kAuto, 2),
-            MvaKernelPath::kScalar);
-  EXPECT_EQ(ResolveMvaKernelPath(MvaKernelPath::kScalar, 256),
-            MvaKernelPath::kScalar);
-  EXPECT_EQ(ResolveMvaKernelPath(MvaKernelPath::kBlocked, 2),
-            MvaKernelPath::kBlocked);
 }
 
 TEST(MvaKernelTest, ScratchReuseAcrossDifferentShapesIsClean) {
-  // A scratch reused across solves of different sizes must not leak
-  // state between problems: interleave big/small/big and compare with
-  // fresh-scratch solves.
+  // A scratch reused across solves of different sizes — and across the
+  // production kernel and the oracle — must not leak state between
+  // problems: interleave big/small/big and compare with fresh-scratch
+  // solves.
   MvaKernelScratch scratch;
   const OverlapMvaProblem big = StripedProblem(40, 8, 0.8);
   const OverlapMvaProblem small = StripedProblem(3, 4, 0.3);
 
-  auto big_fresh = SolveWith(big, MvaKernelPath::kAuto);
-  auto small_fresh = SolveWith(small, MvaKernelPath::kAuto);
+  auto big_fresh = Production(big);
+  auto small_fresh = Production(small);
   ASSERT_TRUE(big_fresh.ok());
   ASSERT_TRUE(small_fresh.ok());
 
-  auto big1 = SolveWith(big, MvaKernelPath::kAuto, &scratch);
-  auto small1 = SolveWith(small, MvaKernelPath::kAuto, &scratch);
-  auto big2 = SolveWith(big, MvaKernelPath::kAuto, &scratch);
+  auto big1 = Production(big, &scratch);
+  auto small_oracle = Oracle(small, &scratch);
+  auto small1 = Production(small, &scratch);
+  auto big2 = Production(big, &scratch);
   ASSERT_TRUE(big1.ok());
+  ASSERT_TRUE(small_oracle.ok());
   ASSERT_TRUE(small1.ok());
   ASSERT_TRUE(big2.ok());
   ExpectBitIdentical(*big_fresh, *big1);
+  ExpectBitIdentical(*small_fresh, *small_oracle);
   ExpectBitIdentical(*small_fresh, *small1);
   ExpectBitIdentical(*big_fresh, *big2);
 }
@@ -190,8 +185,8 @@ TEST(MvaKernelTest, ThreadLocalScratchIsStablePerThread) {
   MvaKernelScratch* second = &ThreadLocalMvaScratch();
   EXPECT_EQ(first, second);
   const OverlapMvaProblem p = StripedProblem(10, 4, 0.5);
-  auto fresh = SolveWith(p, MvaKernelPath::kAuto);
-  auto reused = SolveWith(p, MvaKernelPath::kAuto, first);
+  auto fresh = Production(p);
+  auto reused = Production(p, first);
   ASSERT_TRUE(fresh.ok());
   ASSERT_TRUE(reused.ok());
   ExpectBitIdentical(*fresh, *reused);

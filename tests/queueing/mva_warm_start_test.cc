@@ -130,8 +130,7 @@ TEST(MvaWarmStartTest, GroupedWarmSolveMatchesColdWithinTolerance) {
   const GroupedOverlapMvaProblem base = BuildGroupedProblem(3, 4, 0.6);
   const GroupedOverlapMvaProblem neighbor =
       BuildGroupedProblem(3, 4, 0.6, 1.02);
-  OverlapMvaOptions opts;
-  opts.kernel = MvaKernelPath::kGrouped;
+  const OverlapMvaOptions opts;
 
   auto base_sol = SolveGroupedOverlapMvaGroupLevel(base, opts);
   ASSERT_TRUE(base_sol.ok());
@@ -151,24 +150,20 @@ TEST(MvaWarmStartTest, GroupedWarmSolveMatchesColdWithinTolerance) {
 
 TEST(MvaWarmStartTest, SeededSolveThroughIsRejectedAndColdSolvesAreCached) {
   SolveCache cache(/*shards=*/1, /*max_entries=*/16);
-  const OverlapMvaProblem p = BuildProblem(4, 0.5);
+  const GroupedOverlapMvaProblem p = BuildGroupedProblem(3, 4, 0.6);
   const OverlapMvaOptions opts;
 
-  auto cold = SolveOverlapMva(p, opts);
+  auto cold = SolveGroupedOverlapMva(p, opts);
   ASSERT_TRUE(cold.ok());
-  const FlatMatrix seed = SolutionResidenceMatrix(*cold);
+  // A class-level seed: the shape the grouped kernel would accept.
+  auto group_level = SolveGroupedOverlapMvaGroupLevel(p, opts);
+  ASSERT_TRUE(group_level.ok());
+  const FlatMatrix seed = SolutionResidenceMatrix(*group_level);
   OverlapMvaOptions seeded = opts;
   seeded.initial_residence = &seed;
 
-  // A seeded call is refused before any cache traffic or solve, on both
-  // the per-task and the grouped entry points.
+  // A seeded call is refused before any cache traffic or solve.
   EXPECT_EQ(cache.SolveThrough(p, seeded).status().code(),
-            StatusCode::kInvalidArgument);
-  OverlapMvaOptions seeded_grouped = seeded;
-  seeded_grouped.kernel = MvaKernelPath::kGrouped;
-  EXPECT_EQ(cache.SolveThrough(BuildGroupedProblem(3, 4, 0.6), seeded_grouped)
-                .status()
-                .code(),
             StatusCode::kInvalidArgument);
   MvaCacheStats stats = cache.stats();
   EXPECT_EQ(stats.lookups(), 0);

@@ -1,7 +1,8 @@
 /// SolveCache tests: exact keys; the memo contract (bit-identical hits,
 /// uncached errors, window counters, concurrent use) at 1 shard and at
 /// 4; LRU order within a shard; the shard count and the exact total
-/// cap; and bit-identity across shard counts (dense and grouped).
+/// cap; and bit-identity across shard counts (singleton and compressed
+/// classes).
 
 #include "queueing/solve_cache.h"
 
@@ -19,10 +20,14 @@ namespace {
 /// and a sharded one.
 constexpr int kShardCounts[] = {1, 4};
 
-OverlapMvaProblem TwoTaskProblem(double overlap, double demand = 2.0) {
-  OverlapMvaProblem p;
+/// Two tasks as two singleton classes — the shape every all-singleton
+/// A4 problem takes.
+GroupedOverlapMvaProblem TwoTaskProblem(double overlap,
+                                        double demand = 2.0) {
+  GroupedOverlapMvaProblem p;
   p.centers = {{"cpu", CenterType::kQueueing, 1}};
-  p.tasks = {{{demand}}, {{demand}}};
+  p.groups = {{/*demand=*/{demand}, /*count=*/1},
+              {/*demand=*/{demand}, /*count=*/1}};
   p.overlap = {{0.0, overlap}, {overlap, 0.0}};
   return p;
 }
@@ -59,7 +64,7 @@ TEST(MvaCacheKeyTest, KeyCoversProblemAndOptions) {
   EXPECT_NE(SolveCache::MakeKey(TwoTaskProblem(0.6), opts), base);
   EXPECT_NE(SolveCache::MakeKey(TwoTaskProblem(0.5, 3.0), opts), base);
 
-  OverlapMvaProblem more_servers = TwoTaskProblem(0.5);
+  GroupedOverlapMvaProblem more_servers = TwoTaskProblem(0.5);
   more_servers.centers[0].server_count = 2;
   EXPECT_NE(SolveCache::MakeKey(more_servers, opts), base);
 
@@ -70,16 +75,16 @@ TEST(MvaCacheKeyTest, KeyCoversProblemAndOptions) {
 
 TEST(MvaCacheKeyTest, CenterNamesDoNotAffectTheKey) {
   const OverlapMvaOptions opts;
-  OverlapMvaProblem renamed = TwoTaskProblem(0.5);
+  GroupedOverlapMvaProblem renamed = TwoTaskProblem(0.5);
   renamed.centers[0].name = "other-label";
   EXPECT_EQ(SolveCache::MakeKey(renamed, opts),
             SolveCache::MakeKey(TwoTaskProblem(0.5), opts));
 }
 
 TEST(MvaCacheTest, SolveThroughMatchesDirectSolveExactly) {
-  const OverlapMvaProblem problem = TwoTaskProblem(0.7);
+  const GroupedOverlapMvaProblem problem = TwoTaskProblem(0.7);
   const OverlapMvaOptions opts;
-  auto direct = SolveOverlapMva(problem, opts);
+  auto direct = SolveGroupedOverlapMva(problem, opts);
   ASSERT_TRUE(direct.ok());
 
   for (int shards : kShardCounts) {
@@ -104,7 +109,7 @@ TEST(MvaCacheTest, SolveThroughMatchesDirectSolveExactly) {
 }
 
 TEST(MvaCacheTest, ErrorsAreNotCached) {
-  OverlapMvaProblem bad = TwoTaskProblem(0.5);
+  GroupedOverlapMvaProblem bad = TwoTaskProblem(0.5);
   bad.overlap[0][1] = 2.0;  // invalid: theta must be in [0, 1]
   for (int shards : kShardCounts) {
     SCOPED_TRACE(shards);
@@ -212,8 +217,8 @@ TEST(MvaCacheTest, ResetStatsZerosCountersButKeepsEntries) {
 }
 
 TEST(MvaCacheTest, ConcurrentSolveThroughIsSafeAndConsistent) {
-  const OverlapMvaProblem problem = TwoTaskProblem(0.9);
-  auto direct = SolveOverlapMva(problem, {});
+  const GroupedOverlapMvaProblem problem = TwoTaskProblem(0.9);
+  auto direct = SolveGroupedOverlapMva(problem, {});
   ASSERT_TRUE(direct.ok());
 
   for (int shards : kShardCounts) {
@@ -251,7 +256,7 @@ TEST(MvaCacheTest, ConcurrentEvictionUnderContentionStaysConsistent) {
 
   std::vector<double> expected(kProblems);
   for (int p = 0; p < kProblems; ++p) {
-    auto direct = SolveOverlapMva(TwoTaskProblem(0.01 * (p + 1)), {});
+    auto direct = SolveGroupedOverlapMva(TwoTaskProblem(0.01 * (p + 1)), {});
     ASSERT_TRUE(direct.ok());
     expected[p] = direct->response[0];
   }
@@ -324,7 +329,7 @@ TEST(ShardedSolveCacheTest, SolveThroughBitIdenticalToSingleMutex) {
   SolveCache single(/*shards=*/1, /*max_entries=*/64);
   SolveCache sharded(/*shards=*/8, /*max_entries=*/64);
   for (double theta : {0.0, 0.1, 0.35, 0.5, 0.9, 1.0}) {
-    const OverlapMvaProblem problem = TwoTaskProblem(theta);
+    const GroupedOverlapMvaProblem problem = TwoTaskProblem(theta);
     auto a = single.SolveThrough(problem, {});
     auto b = sharded.SolveThrough(problem, {});  // miss
     auto c = sharded.SolveThrough(problem, {});  // hit
