@@ -20,6 +20,7 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -222,29 +223,74 @@ TEST(ModelKernelGoldenTest, ColdDefaultPredictionsArePinned) {
   // T = 48. The third, (2, 0.25 GB, 2 jobs), is all singletons at
   // T = 12; its values are what per-task scalar A4 solves give, so the
   // row fails if the grouped kernel stops reproducing the oracle's bits
-  // on small problems. Fork/Join and the solver effort are pinned
-  // exactly; Tripathi within 1e-9 relative, so an A5 quadrature change
-  // inside its own tolerance does not have to touch this test.
+  // on small problems. The rest pin each way out of the outer loop:
+  //  - (8, 1 GB, 1 job) converges on the ε test at iteration 2;
+  //  - (4, 5 GB, 4 jobs) leaves through the period-2 exit at iteration
+  //    16, and its Tripathi mean is the midpoint of iterations 15
+  //    (427.43148656037147) and 16, so answering with either iteration
+  //    alone misses by ≈1.4e-7 relative;
+  //  - the same point capped at 15 iterations returns iteration 15's
+  //    estimate, not converged.
+  // Fork/Join and the solver effort are pinned exactly; Tripathi within
+  // 1e-9 relative, so an A5 quadrature change inside its own tolerance
+  // does not have to touch this test.
   struct Golden {
     ExperimentPoint point;
+    int max_iterations;
     double forkjoin;
     double tripathi;
+    std::vector<double> tripathi_jobs;
     int iterations;
+    bool converged;
     int64_t mva_iterations;
   };
   const Golden goldens[] = {
-      {Point(4, 1.0, 1), 88.436642016035307, 98.906352220574789, 11, 385},
-      {Point(8, 1.0, 4), 91.451295299409381, 102.40700690879534, 11, 440},
-      {Point(2, 0.25, 2), 42.974765610927683, 43.655361447296379, 11, 363},
+      {Point(4, 1.0, 1), 300, 88.436642016035307, 98.906352220574789,
+       {98.906352220574789}, 11, true, 385},
+      {Point(8, 1.0, 4), 300, 91.451295299409381, 102.40700690879534,
+       {102.40700690879534, 102.40700690879534, 102.40700690879534,
+        102.40700690879534},
+       11, true, 440},
+      {Point(2, 0.25, 2), 300, 42.974765610927683, 43.655361447296379,
+       {43.655361447296379, 43.655361447296379}, 11, true, 363},
+      {Point(8, 1.0, 1), 300, 85.25359004130901, 95.240400042524087,
+       {95.240400042524087}, 2, true, 2},
+      {Point(4, 5.0, 4), 300, 386.60470936432495, 427.43154479371486,
+       {451.87267559933326, 446.47683395883939, 447.28206476222442,
+        364.09483778783584},
+       16, true, 2129},
+      {Point(4, 5.0, 4), 15, 386.60466141004957, 427.43148656037147,
+       {451.87256591806761, 446.47673369462615, 447.28196323426198,
+        364.09468339453008},
+       15, false, 1996},
   };
   for (const Golden& g : goldens) {
-    auto model = RunModelPrediction(g.point, DefaultExperimentOptions());
+    SCOPED_TRACE(PointLabel(g.point) + " max_iterations " +
+                 std::to_string(g.max_iterations));
+    ExperimentOptions opts = DefaultExperimentOptions();
+    opts.model.max_iterations = g.max_iterations;
+    auto model = RunModelPrediction(g.point, opts);
     ASSERT_TRUE(model.ok()) << model.status().ToString();
     EXPECT_EQ(model->forkjoin_response, g.forkjoin);
     EXPECT_NEAR(model->tripathi_response, g.tripathi, 1e-9 * g.tripathi);
+    ASSERT_EQ(model->tripathi_job_responses.size(), g.tripathi_jobs.size());
+    for (size_t j = 0; j < g.tripathi_jobs.size(); ++j) {
+      EXPECT_NEAR(model->tripathi_job_responses[j], g.tripathi_jobs[j],
+                  1e-9 * g.tripathi_jobs[j])
+          << "job " << j;
+    }
     EXPECT_EQ(model->iterations, g.iterations);
+    EXPECT_EQ(model->converged, g.converged);
     EXPECT_EQ(model->mva_iterations, g.mva_iterations);
   }
+  // The capped point with allow_nonconverged off has no answer to pin.
+  ExperimentOptions strict = DefaultExperimentOptions();
+  strict.model.max_iterations = 15;
+  strict.model.allow_nonconverged = false;
+  auto refused = RunModelPrediction(Point(4, 5.0, 4), strict);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsNotConverged())
+      << refused.status().ToString();
 }
 
 }  // namespace
