@@ -139,13 +139,18 @@ Result<double> EstimateTripathi(const PrecedenceTree& tree,
   if (tree.Empty()) {
     return Status::InvalidArgument("cannot estimate an empty tree");
   }
-  if (!std::isfinite(options.leaf_cv) || options.leaf_cv < 0) {
-    return Status::InvalidArgument("leaf_cv must be finite and >= 0");
-  }
+  MRPERF_RETURN_NOT_OK(ValidateLeafCv(options.leaf_cv));
   MRPERF_ASSIGN_OR_RETURN(
       Moments root,
       EvalTripathiNode(tree, tree.root, leaf_response, options.leaf_cv));
   return root.mean;
+}
+
+Status ValidateLeafCv(double leaf_cv) {
+  if (!std::isfinite(leaf_cv) || leaf_cv < 0) {
+    return Status::InvalidArgument("leaf_cv must be finite and >= 0");
+  }
+  return Status::OK();
 }
 
 }  // namespace mrperf

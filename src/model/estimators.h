@@ -61,4 +61,8 @@ Result<double> EstimateTripathi(const PrecedenceTree& tree,
                                 const LeafResponseFn& leaf_response,
                                 const EstimatorOptions& options = {});
 
+/// \brief InvalidArgument unless `leaf_cv` is finite and >= 0: the check
+/// EstimateTripathi makes, shared with SolveModel's entry.
+Status ValidateLeafCv(double leaf_cv);
+
 }  // namespace mrperf

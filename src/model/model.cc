@@ -73,6 +73,37 @@ struct ClassResponses {
   double net_inflation = 1.0;  // contention multiplier on shuffle transfers
 };
 
+/// What one outer iteration's Tripathi estimate reads: the per-job
+/// precedence trees, the A4 leaf responses and each job's FIFO offset.
+/// The estimate feeds nothing back into A2–A4, so it is evaluated only
+/// for an iteration whose value A6 or the answer reads.
+struct TripathiInputs {
+  std::vector<PrecedenceTree> trees;
+  std::vector<double> leaf_response;  // by timeline task id
+  std::vector<double> offsets;        // by job
+  bool evaluated = false;
+  double mean = 0.0;
+  std::vector<double> job_responses;
+
+  /// Evaluates the estimate on first use and counts it in `evaluations`.
+  Status Evaluate(const EstimatorOptions& options, int* evaluations) {
+    if (evaluated) return Status::OK();
+    const auto leaf = [this](int task_id) { return leaf_response[task_id]; };
+    double sum = 0.0;
+    job_responses.clear();
+    for (size_t job = 0; job < trees.size(); ++job) {
+      MRPERF_ASSIGN_OR_RETURN(double tri,
+                              EstimateTripathi(trees[job], leaf, options));
+      job_responses.push_back(offsets[job] + tri);
+      sum += offsets[job] + tri;
+    }
+    mean = sum / static_cast<double>(trees.size());
+    evaluated = true;
+    ++*evaluations;
+    return Status::OK();
+  }
+};
+
 }  // namespace
 
 Result<ModelResult> SolveModel(const ModelInput& input,
@@ -87,6 +118,9 @@ Result<ModelResult> SolveModel(const ModelInput& input,
   if (options.max_iterations < 1) {
     return Status::InvalidArgument("max_iterations must be >= 1");
   }
+  // Checked here, not first by an evaluation: a run whose Tripathi
+  // estimate is never read must still reject it.
+  MRPERF_RETURN_NOT_OK(ValidateLeafCv(options.estimator.leaf_cv));
 
   // ---- A1: initialization (Herodotou-derived inputs) --------------------
   ClassResponses cls;
@@ -110,9 +144,9 @@ Result<ModelResult> SolveModel(const ModelInput& input,
 
   ModelResult result;
   double prev_fj = -1.0;
-  double prev_tri = -1.0;
   double prev2_fj = -1.0;  // two iterations back, for cycle detection
   ClassResponses prev_cls = cls;
+  TripathiInputs prev_tri;
 
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
     result.iterations = iter;
@@ -202,12 +236,16 @@ Result<ModelResult> SolveModel(const ModelInput& input,
     cls.net_inflation += d * (next.net_inflation - cls.net_inflation);
 
     // ---- A5: job response estimation from the precedence tree ----------
+    // Fork/Join on every iteration; Tripathi's inputs are kept, and A6 or
+    // the answer evaluates them when it reads the estimate.
     auto leaf_response = [&mva](int task_id) {
       return mva.response[task_id];
     };
-    double fj_sum = 0.0, tri_sum = 0.0;
+    TripathiInputs tri;
+    tri.trees.reserve(input.num_jobs);
+    tri.offsets = timeline.job_first_start;
+    double fj_sum = 0.0;
     result.forkjoin_job_responses.clear();
-    result.tripathi_job_responses.clear();
     int max_depth = 0;
     for (int job = 0; job < input.num_jobs; ++job) {
       MRPERF_ASSIGN_OR_RETURN(
@@ -217,22 +255,17 @@ Result<ModelResult> SolveModel(const ModelInput& input,
       MRPERF_ASSIGN_OR_RETURN(
           double fj,
           EstimateForkJoin(tree, leaf_response, options.estimator));
-      MRPERF_ASSIGN_OR_RETURN(
-          double tri,
-          EstimateTripathi(tree, leaf_response, options.estimator));
       // A job's response includes the FIFO queueing delay before its
       // first container starts.
       const double offset = timeline.job_first_start[job];
       result.forkjoin_job_responses.push_back(offset + fj);
-      result.tripathi_job_responses.push_back(offset + tri);
       fj_sum += offset + fj;
-      tri_sum += offset + tri;
+      tri.trees.push_back(std::move(tree));
     }
+    tri.leaf_response = std::move(mva.response);
     const double fj_mean = fj_sum / input.num_jobs;
-    const double tri_mean = tri_sum / input.num_jobs;
 
     result.forkjoin_response = fj_mean;
-    result.tripathi_response = tri_mean;
     result.map_response = cls.map;
     result.shuffle_sort_response = cls.shuffle_sort;
     result.merge_response = cls.merge;
@@ -248,32 +281,52 @@ Result<ModelResult> SolveModel(const ModelInput& input,
              delta <= options.epsilon_relative * std::abs(cur);
     };
     // The test covers the job estimates and the per-class response times
-    // (the iterated quantities of Figure 4's A4/A5 activities).
+    // (the iterated quantities of Figure 4's A4/A5 activities). Each
+    // comparison is pure, so Tripathi's goes last and is evaluated only
+    // when every other one holds.
     if (prev_fj >= 0 && close(fj_mean, prev_fj) &&
-        close(tri_mean, prev_tri) && close(cls.map, prev_cls.map) &&
+        close(cls.map, prev_cls.map) &&
         close(cls.shuffle_sort, prev_cls.shuffle_sort) &&
         close(cls.merge, prev_cls.merge)) {
-      result.converged = true;
-      return result;
+      MRPERF_RETURN_NOT_OK(prev_tri.Evaluate(options.estimator,
+                                             &result.tripathi_evaluations));
+      MRPERF_RETURN_NOT_OK(
+          tri.Evaluate(options.estimator, &result.tripathi_evaluations));
+      if (close(tri.mean, prev_tri.mean)) {
+        result.tripathi_response = tri.mean;
+        result.tripathi_job_responses = std::move(tri.job_responses);
+        result.converged = true;
+        return result;
+      }
     }
     prev_cls = cls;
     // Discrete placement decisions can lock the loop into a period-2
     // cycle; detect it and return the midpoint of the cycle.
     if (prev2_fj >= 0 && iter > 10 && close(fj_mean, prev2_fj)) {
+      MRPERF_RETURN_NOT_OK(prev_tri.Evaluate(options.estimator,
+                                             &result.tripathi_evaluations));
+      MRPERF_RETURN_NOT_OK(
+          tri.Evaluate(options.estimator, &result.tripathi_evaluations));
       result.forkjoin_response = 0.5 * (fj_mean + prev_fj);
-      result.tripathi_response = 0.5 * (tri_mean + prev_tri);
+      result.tripathi_response = 0.5 * (tri.mean + prev_tri.mean);
+      result.tripathi_job_responses = std::move(tri.job_responses);
       result.converged = true;
       return result;
     }
     prev2_fj = prev_fj;
     prev_fj = fj_mean;
-    prev_tri = tri_mean;
+    prev_tri = std::move(tri);
   }
 
   if (!options.allow_nonconverged) {
     return Status::NotConverged(
         "modified MVA did not converge within max_iterations");
   }
+  // The best-effort answer is the last iteration's estimate.
+  MRPERF_RETURN_NOT_OK(
+      prev_tri.Evaluate(options.estimator, &result.tripathi_evaluations));
+  result.tripathi_response = prev_tri.mean;
+  result.tripathi_job_responses = std::move(prev_tri.job_responses);
   result.converged = false;
   return result;
 }

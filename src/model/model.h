@@ -93,6 +93,10 @@ struct ModelResult {
   /// A4 solver effort across the outer loop: cumulative damped MVA
   /// sweeps executed (solves answered by `mva_cache` execute none).
   int64_t mva_iterations = 0;
+  /// A5 effort: outer iterations whose Tripathi trees were evaluated
+  /// (each at most once). Two on an ε or period-2 exit that had no
+  /// earlier near miss, one on a best-effort non-converged answer.
+  int tripathi_evaluations = 0;
   /// The final timeline (placement, intervals).
   Timeline timeline;
 };

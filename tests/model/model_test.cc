@@ -1,5 +1,7 @@
 #include "model/model.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "model/input.h"
@@ -169,6 +171,27 @@ TEST(ModelTest, StrictOptionsValidated) {
   opts = ModelOptions();
   opts.max_iterations = 0;
   EXPECT_FALSE(SolveModel(*in, opts).ok());
+}
+
+TEST(ModelTest, BadLeafCvFailsBeforeTheFirstIteration) {
+  // One iteration never converges, so no A6 test reads its Tripathi
+  // estimate: with allow_nonconverged off nothing would evaluate it.
+  // leaf_cv is checked at entry, so both settings name it.
+  auto in = PaperInput(4, 1.0, 1);
+  ASSERT_TRUE(in.ok());
+  for (double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    for (bool allow_nonconverged : {true, false}) {
+      ModelOptions opts;
+      opts.max_iterations = 1;
+      opts.estimator.leaf_cv = bad;
+      opts.allow_nonconverged = allow_nonconverged;
+      auto r = SolveModel(*in, opts);
+      ASSERT_FALSE(r.ok()) << "leaf_cv " << bad;
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+      EXPECT_EQ(r.status().message(), "leaf_cv must be finite and >= 0");
+    }
+  }
 }
 
 TEST(ModelTest, NonConvergenceSurfacesWhenRequested) {
