@@ -231,6 +231,9 @@ TEST(ModelKernelGoldenTest, ColdDefaultPredictionsArePinned) {
   //    alone misses by ≈1.4e-7 relative;
   //  - the same point capped at 15 iterations returns iteration 15's
   //    estimate, not converged.
+  // Tripathi is evaluated only on iterations whose estimate is read:
+  // iterations i−1 and i on an exit at i that had no earlier near miss,
+  // the last one on a best-effort answer, none on NotConverged.
   // Fork/Join and the solver effort are pinned exactly; Tripathi within
   // 1e-9 relative, so an A5 quadrature change inside its own tolerance
   // does not have to touch this test.
@@ -243,26 +246,27 @@ TEST(ModelKernelGoldenTest, ColdDefaultPredictionsArePinned) {
     int iterations;
     bool converged;
     int64_t mva_iterations;
+    int tripathi_evaluations;
   };
   const Golden goldens[] = {
       {Point(4, 1.0, 1), 300, 88.436642016035307, 98.906352220574789,
-       {98.906352220574789}, 11, true, 385},
+       {98.906352220574789}, 11, true, 385, 2},
       {Point(8, 1.0, 4), 300, 91.451295299409381, 102.40700690879534,
        {102.40700690879534, 102.40700690879534, 102.40700690879534,
         102.40700690879534},
-       11, true, 440},
+       11, true, 440, 2},
       {Point(2, 0.25, 2), 300, 42.974765610927683, 43.655361447296379,
-       {43.655361447296379, 43.655361447296379}, 11, true, 363},
+       {43.655361447296379, 43.655361447296379}, 11, true, 363, 2},
       {Point(8, 1.0, 1), 300, 85.25359004130901, 95.240400042524087,
-       {95.240400042524087}, 2, true, 2},
+       {95.240400042524087}, 2, true, 2, 2},
       {Point(4, 5.0, 4), 300, 386.60470936432495, 427.43154479371486,
        {451.87267559933326, 446.47683395883939, 447.28206476222442,
         364.09483778783584},
-       16, true, 2129},
+       16, true, 2129, 2},
       {Point(4, 5.0, 4), 15, 386.60466141004957, 427.43148656037147,
        {451.87256591806761, 446.47673369462615, 447.28196323426198,
         364.09468339453008},
-       15, false, 1996},
+       15, false, 1996, 1},
   };
   for (const Golden& g : goldens) {
     SCOPED_TRACE(PointLabel(g.point) + " max_iterations " +
@@ -282,6 +286,7 @@ TEST(ModelKernelGoldenTest, ColdDefaultPredictionsArePinned) {
     EXPECT_EQ(model->iterations, g.iterations);
     EXPECT_EQ(model->converged, g.converged);
     EXPECT_EQ(model->mva_iterations, g.mva_iterations);
+    EXPECT_EQ(model->tripathi_evaluations, g.tripathi_evaluations);
   }
   // The capped point with allow_nonconverged off has no answer to pin.
   ExperimentOptions strict = DefaultExperimentOptions();
