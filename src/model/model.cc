@@ -280,6 +280,13 @@ Result<ModelResult> SolveModel(const ModelInput& input,
       return delta <= options.epsilon ||
              delta <= options.epsilon_relative * std::abs(cur);
     };
+    // Both exits below read this iteration's and the previous one's
+    // Tripathi estimate.
+    const auto evaluate_tripathi = [&]() -> Status {
+      MRPERF_RETURN_NOT_OK(
+          prev_tri.Evaluate(options.estimator, &result.tripathi_evaluations));
+      return tri.Evaluate(options.estimator, &result.tripathi_evaluations);
+    };
     // The test covers the job estimates and the per-class response times
     // (the iterated quantities of Figure 4's A4/A5 activities). Each
     // comparison is pure, so Tripathi's goes last and is evaluated only
@@ -288,10 +295,7 @@ Result<ModelResult> SolveModel(const ModelInput& input,
         close(cls.map, prev_cls.map) &&
         close(cls.shuffle_sort, prev_cls.shuffle_sort) &&
         close(cls.merge, prev_cls.merge)) {
-      MRPERF_RETURN_NOT_OK(prev_tri.Evaluate(options.estimator,
-                                             &result.tripathi_evaluations));
-      MRPERF_RETURN_NOT_OK(
-          tri.Evaluate(options.estimator, &result.tripathi_evaluations));
+      MRPERF_RETURN_NOT_OK(evaluate_tripathi());
       if (close(tri.mean, prev_tri.mean)) {
         result.tripathi_response = tri.mean;
         result.tripathi_job_responses = std::move(tri.job_responses);
@@ -303,10 +307,7 @@ Result<ModelResult> SolveModel(const ModelInput& input,
     // Discrete placement decisions can lock the loop into a period-2
     // cycle; detect it and return the midpoint of the cycle.
     if (prev2_fj >= 0 && iter > 10 && close(fj_mean, prev2_fj)) {
-      MRPERF_RETURN_NOT_OK(prev_tri.Evaluate(options.estimator,
-                                             &result.tripathi_evaluations));
-      MRPERF_RETURN_NOT_OK(
-          tri.Evaluate(options.estimator, &result.tripathi_evaluations));
+      MRPERF_RETURN_NOT_OK(evaluate_tripathi());
       result.forkjoin_response = 0.5 * (fj_mean + prev_fj);
       result.tripathi_response = 0.5 * (tri.mean + prev_tri.mean);
       result.tripathi_job_responses = std::move(tri.job_responses);

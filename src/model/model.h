@@ -15,6 +15,15 @@
 ///       damping on the class-response updates to guarantee stability of
 ///       the discrete timeline→tree→MVA loop.
 ///
+/// Tripathi's estimate feeds nothing back into A2–A4, so it runs only for
+/// the iterations A6 or the answer reads: the current and the previous
+/// one once every other A6 condition holds or the period-2 exit fires,
+/// and the last one for a best-effort non-converged answer. Outputs are
+/// bit-identical to evaluating every iteration. A failure only Tripathi
+/// would raise (moments that overflow a double; Fork/Join still checks
+/// every leaf on every iteration, and `leaf_cv` is checked at entry)
+/// surfaces only from an iteration that is read.
+///
 /// Deviation from the paper: the paper aggregates resources into two
 /// cluster-wide centers (CPU&Memory, Network); because the timeline
 /// provides task placement, this implementation instantiates CPU, disk and

@@ -40,22 +40,50 @@ MvaCacheStats SumCacheStats(const MvaCacheStats& folded,
 }  // namespace
 
 std::optional<ExperimentResult> PredictService::AnswerCache::Lookup(
-    const std::string& key) {
+    const std::string& key, const ExperimentPoint& point) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  const Answer& a = it->second->second;
+  ExperimentResult result;
+  result.point = point;
+  result.measured_sec = a.measured_sec;
+  result.forkjoin_sec = a.forkjoin_sec;
+  result.tripathi_sec = a.tripathi_sec;
+  result.forkjoin_error = a.forkjoin_error;
+  result.tripathi_error = a.tripathi_error;
+  result.model_iterations = a.model_iterations;
+  result.model_converged = a.model_converged;
+  result.tree_depth = a.tree_depth;
+  result.mva_iterations = a.mva_iterations;
+  return result;
 }
 
 void PredictService::AnswerCache::Insert(std::string key,
-                                         ExperimentResult result) {
+                                         const ExperimentResult& result) {
+  // Tripwire: a field added to ExperimentResult must be stored here too,
+  // or a hit would answer without it.
+  static_assert(sizeof(ExperimentResult) ==
+                    sizeof(ExperimentPoint) + sizeof(Answer),
+                "AnswerCache::Answer must hold every non-point field of "
+                "ExperimentResult");
   if (entries_.count(key) != 0) return;
   if (static_cast<int64_t>(entries_.size()) >= max_entries_) {
     entries_.erase(std::string_view(lru_.back().first));
     lru_.pop_back();
     ++evictions_;
   }
-  lru_.emplace_front(std::move(key), std::move(result));
+  Answer answer;
+  answer.measured_sec = result.measured_sec;
+  answer.forkjoin_sec = result.forkjoin_sec;
+  answer.tripathi_sec = result.tripathi_sec;
+  answer.forkjoin_error = result.forkjoin_error;
+  answer.tripathi_error = result.tripathi_error;
+  answer.model_iterations = result.model_iterations;
+  answer.model_converged = result.model_converged;
+  answer.tree_depth = result.tree_depth;
+  answer.mva_iterations = result.mva_iterations;
+  lru_.emplace_front(std::move(key), answer);
   entries_.emplace(std::string_view(lru_.front().first), lru_.begin());
 }
 
@@ -200,7 +228,7 @@ void PredictService::SubmitLine(const std::string& request_line,
   std::optional<ExperimentResult> answer;
   {
     MutexLock lock(mu_);
-    if (!draining_) answer = answers_.Lookup(key);
+    if (!draining_) answer = answers_.Lookup(key, request.predict.point);
     if (draining_) {
       rejection = MakeErrorResponse(
           request.id, ServeErrorCode::kShuttingDown,

@@ -34,11 +34,13 @@
 ///    has a successful evaluation is answered from SubmitLine with
 ///    MakePredictResponse(its own id, the stored ExperimentResult) —
 ///    byte-identical to evaluating, by the argument coalescing relies
-///    on — without queueing or touching the worker pool. A key moves
-///    from the coalescing map to the cache inside the critical section
-///    that takes its waiters, so a duplicate racing the completion
-///    either coalesces or hits: it is never evaluated twice. Only ok
-///    results are stored, LRU-bounded by `cache_max_entries`.
+///    on — without queueing or touching the worker pool. An entry keeps
+///    the result without its point: the key determines the point field
+///    for field, so a hit puts back the admitted request's own. A key
+///    moves from the coalescing map to the cache inside the critical
+///    section that takes its waiters, so a duplicate racing the
+///    completion either coalesces or hits: it is never evaluated twice.
+///    Only ok results are stored, LRU-bounded by `cache_max_entries`.
 ///  - **Shared solver state.** One process-wide SolveCache (inside the
 ///    runner, one lock shard per worker) memoizes the A4 overlap-MVA
 ///    solves of the requests the response cache cannot answer;
@@ -226,22 +228,37 @@ class PredictService {
   };
 
   /// The response cache: canonical key -> result of a successful
-  /// evaluation, LRU-bounded. Not synchronized; the service guards it
-  /// with mu_.
+  /// evaluation, LRU-bounded. An entry keeps only the fields the point
+  /// does not determine. Not synchronized; the service guards it with
+  /// mu_.
   class AnswerCache {
    public:
     explicit AnswerCache(int64_t max_entries)
         : max_entries_(std::max<int64_t>(1, max_entries)) {}
-    /// A copy of the stored result, now most recently used.
-    std::optional<ExperimentResult> Lookup(const std::string& key);
+    /// The stored result with `point` (the admitted request's, which
+    /// `key` determines) put back, now most recently used.
+    std::optional<ExperimentResult> Lookup(const std::string& key,
+                                           const ExperimentPoint& point);
     /// Stores `result` as most recently used, evicting the least
     /// recently used answer when full.
-    void Insert(std::string key, ExperimentResult result);
+    void Insert(std::string key, const ExperimentResult& result);
     int64_t size() const { return static_cast<int64_t>(entries_.size()); }
     int64_t evictions() const { return evictions_; }
 
    private:
-    using Lru = std::list<std::pair<std::string, ExperimentResult>>;
+    /// ExperimentResult without its point.
+    struct Answer {
+      double measured_sec;
+      double forkjoin_sec;
+      double tripathi_sec;
+      double forkjoin_error;
+      double tripathi_error;
+      int model_iterations;
+      bool model_converged;
+      int tree_depth;
+      int64_t mva_iterations;
+    };
+    using Lru = std::list<std::pair<std::string, Answer>>;
     int64_t max_entries_;
     int64_t evictions_ = 0;
     /// Most recently used first; owns the keys.

@@ -13,8 +13,9 @@
 ///  - on timelines whose classes are all singletons (small clusters and
 ///    inputs) the two are **bit-for-bit identical**, so those points
 ///    predict exactly what a per-task solve would.
-/// Model-level goldens pin the default pipeline's predictions, scratch
-/// reuse and the solve cache on top.
+/// Model-level goldens pin the default pipeline's predictions, each way
+/// out of the outer loop with the iterations whose Tripathi estimate is
+/// evaluated, scratch reuse and the solve cache on top.
 
 #include <algorithm>
 #include <cmath>
@@ -294,8 +295,25 @@ TEST(ModelKernelGoldenTest, ColdDefaultPredictionsArePinned) {
   strict.model.allow_nonconverged = false;
   auto refused = RunModelPrediction(Point(4, 5.0, 4), strict);
   ASSERT_FALSE(refused.ok());
-  EXPECT_TRUE(refused.status().IsNotConverged())
-      << refused.status().ToString();
+  EXPECT_TRUE(refused.status().IsNotConverged()) << refused.status().ToString();
+}
+
+TEST(ModelKernelGoldenTest, NearMissEvaluatesEachIterationOnce) {
+  // Undamped, (8, 2.5 GB, 4 jobs) passes every A6 test but Tripathi's at
+  // iteration 2 and converges at 3. Tripathi is read for iterations 1
+  // and 2, then 2 and 3: three evaluations, iteration 2's reused. The
+  // values were recorded on a tree that evaluated every iteration.
+  ExperimentOptions opts = DefaultExperimentOptions();
+  opts.model.damping = 1.0;
+  auto model = RunModelPrediction(Point(8, 2.5, 4), opts);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  EXPECT_EQ(model->forkjoin_response, 170.85002225784044);
+  EXPECT_NEAR(model->tripathi_response, 194.13030807130451,
+              1e-9 * 194.13030807130451);
+  EXPECT_EQ(model->iterations, 3);
+  EXPECT_TRUE(model->converged);
+  EXPECT_EQ(model->mva_iterations, 204);
+  EXPECT_EQ(model->tripathi_evaluations, 3);
 }
 
 }  // namespace

@@ -515,6 +515,38 @@ TEST(PredictServiceTest, HitsAreByteIdenticalAcrossSpellingsOfOneKey) {
             1u);
 }
 
+TEST(PredictServiceTest, HitOnAScenarioPointMatchesItsEvaluation) {
+  // An entry keeps the result without its point, and a hit puts back the
+  // admitted request's own: every scenario axis must survive the trip.
+  PredictService service(FastServiceOptions());
+  const std::string evaluated_line =
+      R"({"id":"evaluated","input_gb":0.3,"jobs":2,"scheduler":"tetris",)"
+      R"("profile":"terasort","cluster":"2x65536MBx12c+1x16384MBx4c",)"
+      R"("repetitions":2,"seed":77})";
+  const std::string hit_line =
+      R"({"cluster":"2x65536MBx12c+1x16384MBx4c","seed":77,"jobs":2,)"
+      R"("repetitions":2,"profile":"terasort","scheduler":"tetris",)"
+      R"("input_gb":0.3,"priority":"interactive","id":"hit"})";
+  const std::string evaluated = service.Submit(evaluated_line).get();
+  ASSERT_NE(evaluated.find("\"ok\": true"), std::string::npos) << evaluated;
+  const std::string hit = service.Submit(hit_line).get();
+  EXPECT_EQ(WithoutId(hit), WithoutId(evaluated));
+
+  Result<ServeRequest> parsed = ParseServeRequest(hit_line);
+  ASSERT_TRUE(parsed.ok());
+  SweepOptions sweep;
+  sweep.experiment = DefaultExperimentOptions();
+  SweepRunner runner(sweep);
+  const SweepReport report = runner.RunTasks(
+      {TaskForRequest(parsed->predict, sweep.experiment)});
+  ASSERT_TRUE(report.all_ok());
+  EXPECT_EQ(hit, MakePredictResponse(std::string("hit"), *report.results[0]));
+
+  const ServeStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.evaluations_total, 1);
+  EXPECT_EQ(stats.response_cache.hits, 1);
+}
+
 TEST(PredictServiceTest, FailedEvaluationIsNotCached) {
   PredictServiceOptions options = FastServiceOptions();
   // An invalid model tolerance: every evaluation fails in the model.
