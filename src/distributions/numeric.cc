@@ -40,8 +40,11 @@ Result<double> IntegrateAdaptiveSimpson(
   if (!(b >= a)) {
     return Status::InvalidArgument("integration bounds must satisfy b >= a");
   }
-  if (abs_tol <= 0) {
-    return Status::InvalidArgument("integration tolerance must be positive");
+  // A NaN tolerance would pass `abs_tol <= 0` and then fail every stop
+  // test, splitting [a, b] into 2^max_depth subintervals.
+  if (!(abs_tol > 0) || !std::isfinite(abs_tol)) {
+    return Status::InvalidArgument(
+        "integration tolerance must be positive and finite");
   }
   if (a == b) return 0.0;
   const double fa = f(a);

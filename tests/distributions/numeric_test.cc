@@ -1,6 +1,7 @@
 #include "distributions/numeric.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -58,6 +59,14 @@ TEST(SimpsonTest, InvalidTolerance) {
   EXPECT_FALSE(
       IntegrateAdaptiveSimpson([](double) { return 1.0; }, 0.0, 1.0, -1.0)
           .ok());
+  // A NaN tolerance fails every stop test; without the check the
+  // recursion would split [0, 1] into 2^40 subintervals.
+  auto one = [](double) { return 1.0; };
+  for (double tol : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    auto r = IntegrateAdaptiveSimpson(one, 0.0, 1.0, tol);
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << tol;
+  }
 }
 
 TEST(SimpsonTest, NonFiniteIntegrandReported) {
