@@ -1,5 +1,13 @@
 /// \file numeric.h
-/// \brief Adaptive numeric integration used by the order-statistics code.
+/// \brief Adaptive Simpson quadrature of one integrand: the oracle for the
+/// max-moments quadrature.
+///
+/// `MaxMoments` (order_stats.h) integrates E[max] and E[max²] in one
+/// recursion that shares its abscissae between the two integrals. Running
+/// IntegrateAdaptiveSimpson once per integral must give the same bits;
+/// tests check that. Only tests and benches call it: the lint's
+/// `oracle-only` check fails a call from src/ or tools/ outside
+/// numeric.{h,cc}.
 
 #pragma once
 
@@ -14,7 +22,8 @@ namespace mrperf {
 /// \param f integrand, evaluated on [a, b]
 /// \param a lower bound
 /// \param b upper bound (>= a)
-/// \param abs_tol absolute error target (> 0)
+/// \param abs_tol absolute error target (> 0 and finite; anything else
+///        is InvalidArgument)
 /// \param max_depth recursion depth cap; the integration degrades to the
 ///        current best estimate rather than recursing past it
 Result<double> IntegrateAdaptiveSimpson(

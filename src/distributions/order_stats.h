@@ -5,8 +5,12 @@
 /// fitted children of a P node. For independent non-negative X, Y:
 ///   E[max]  = ∫₀^∞ (1 − F_X(t)·F_Y(t)) dt
 ///   E[max²] = ∫₀^∞ 2t·(1 − F_X(t)·F_Y(t)) dt
-/// evaluated with adaptive quadrature (absolute tolerance 1e-9) up to the
-/// larger tail bound of the two fits.
+/// evaluated by adaptive Simpson quadrature (absolute tolerance 1e-9) up to
+/// the larger tail bound of the two fits. Both integrals run in one
+/// recursion over shared abscissae, so F_X·F_Y is evaluated once per
+/// abscissa; each integral keeps its own stop test and gives the same bits
+/// as IntegrateAdaptiveSimpson (numeric.h) run on it alone, the oracle the
+/// tests compare against.
 
 #pragma once
 

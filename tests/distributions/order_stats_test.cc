@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,31 @@ FittedDistribution Fit(double mean, double cv) {
   auto d = FitByMeanCv(mean, cv);
   EXPECT_TRUE(d.ok()) << "mean=" << mean << " cv=" << cv;
   return d.ok() ? *d : FittedDistribution{};
+}
+
+// The two-pass quadrature: one IntegrateAdaptiveSimpson per moment over
+// the same interval at the same tolerance. MaxMoments shares the
+// abscissae of both integrals and must match it bit for bit.
+Result<Moments> TwoPassMaxMoments(const FittedDistribution& x,
+                                  const FittedDistribution& y) {
+  constexpr double kIntegrationTol = 1e-9;
+  const double upper =
+      std::max(std::max(0.0, x.UpperTailBound()), y.UpperTailBound());
+  auto joint_cdf = [&x, &y](double t) { return x.Cdf(t) * y.Cdf(t); };
+  MRPERF_ASSIGN_OR_RETURN(
+      double mean,
+      IntegrateAdaptiveSimpson(
+          [&joint_cdf](double t) { return 1.0 - joint_cdf(t); }, 0.0, upper,
+          kIntegrationTol));
+  MRPERF_ASSIGN_OR_RETURN(
+      double second,
+      IntegrateAdaptiveSimpson(
+          [&joint_cdf](double t) { return 2.0 * t * (1.0 - joint_cdf(t)); },
+          0.0, upper, kIntegrationTol));
+  Moments out;
+  out.mean = mean;
+  out.second = std::max(second, mean * mean);
+  return out;
 }
 
 TEST(MomentsTest, VarianceAndCv) {
@@ -132,6 +160,81 @@ TEST(MaxMomentsTest, RandomFitsStayWithinOrderBounds) {
     EXPECT_GE(m->mean, std::max(mean_x, mean_y) * (1.0 - kRelSlack));
     EXPECT_LE(m->mean, (mean_x + mean_y) * (1.0 + kRelSlack));
     EXPECT_GE(m->second, m->mean * m->mean);
+  }
+}
+
+// A fit of `family` with a mean drawn log-uniformly from [1, 10]: a point
+// mass (cv <= 1/24), an Erlang with 2 to 512 stages (cv = 1/√k) or an H2
+// with cv in (1, 8).
+FittedDistribution DrawFit(Rng& rng, FittedDistribution::Family family) {
+  const double mean = std::exp(rng.Uniform(0.0, std::log(10.0)));
+  double cv = 0.0;
+  switch (family) {
+    case FittedDistribution::Family::kPointMass:
+      cv = rng.Uniform(0.0, 1.0 / 24.0);
+      break;
+    case FittedDistribution::Family::kErlang:
+      cv = 1.0 / std::sqrt(2.0 + static_cast<double>(rng.UniformInt(511)));
+      break;
+    case FittedDistribution::Family::kHyperExponential:
+      cv = rng.Uniform(1.0, 8.0);
+      break;
+  }
+  const FittedDistribution d = Fit(mean, cv);
+  EXPECT_EQ(d.family, family) << "mean=" << mean << " cv=" << cv;
+  return d;
+}
+
+TEST(MaxMomentsTest, OnePassMatchesTwoPassOracle) {
+  // Seeded pairs over every pair of families, plus the degenerate cases:
+  // two point masses at 0 (an empty interval, both moments 0), tail
+  // bounds that overflow to +inf, and a point mass at 1e200 whose E[max]
+  // is finite but whose E[max²] overflows; every overflowing pair fails.
+  // Moments must match the two-pass oracle bit for bit, and statuses
+  // code for code.
+  using Family = FittedDistribution::Family;
+  const Family kFamilies[] = {Family::kPointMass, Family::kErlang,
+                              Family::kHyperExponential};
+  Rng rng(20261018);
+  std::vector<std::pair<FittedDistribution, FittedDistribution>> pairs;
+  for (Family fx : kFamilies) {
+    for (Family fy : kFamilies) {
+      for (int i = 0; i < 20; ++i) {
+        pairs.emplace_back(DrawFit(rng, fx), DrawFit(rng, fy));
+      }
+    }
+  }
+  const FittedDistribution zero = Fit(0.0, 0.0);
+  const auto empty = MaxMoments(zero, zero);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->mean, 0.0);
+  EXPECT_EQ(empty->second, 0.0);
+  pairs.emplace_back(zero, zero);
+  const FittedDistribution erlang_overflow = Fit(1e300, 0.5);
+  const FittedDistribution h2_overflow = Fit(1e307, 4.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ASSERT_EQ(erlang_overflow.UpperTailBound(), kInf);
+  ASSERT_EQ(h2_overflow.UpperTailBound(), kInf);
+  const std::pair<FittedDistribution, FittedDistribution> kOverflowing[] = {
+      {erlang_overflow, Fit(2.0, 1.0)},
+      {Fit(3.0, 0.0), h2_overflow},
+      {h2_overflow, erlang_overflow},
+      {Fit(1e200, 0.0), Fit(2.0, 1.0)},
+  };
+  for (const auto& [x, y] : kOverflowing) {
+    EXPECT_EQ(MaxMoments(x, y).status().code(), StatusCode::kInternal);
+    pairs.emplace_back(x, y);
+  }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    SCOPED_TRACE(i);  // index into pairs
+    const auto& [x, y] = pairs[i];
+    const auto one = MaxMoments(x, y);
+    const auto two = TwoPassMaxMoments(x, y);
+    ASSERT_EQ(one.status().code(), two.status().code())
+        << one.status().ToString() << " vs " << two.status().ToString();
+    if (!two.ok()) continue;
+    EXPECT_EQ(one->mean, two->mean);
+    EXPECT_EQ(one->second, two->second);
   }
 }
 
