@@ -42,14 +42,17 @@ Checks enforced (see README "Correctness tooling"):
                    relative to the repository root or to the file's
                    own directory; a comment that cites a missing
                    document explains nothing.
-  oracle-only      calls to `SolveOverlapMva(` and
-                   `ComputeOverlapFactors(` are banned in src/ and
-                   tools/ outside their own files
+  oracle-only      calls to the oracles that production paths are
+                   checked against are banned in src/ and tools/
+                   outside the oracles' own files; tests/ and bench/
+                   may call them, production code may not:
+                   `SolveOverlapMva(` and `ComputeOverlapFactors(`
                    (src/queueing/mva_overlap.{h,cc},
-                   src/model/overlap.{h,cc}). They are the per-task A4
-                   oracle the grouped production path is checked
-                   against; tests/ and bench/ may call them, production
-                   code may not.
+                   src/model/overlap.{h,cc}), the per-task A4 oracle of
+                   the grouped kernel; `IntegrateAdaptiveSimpson(`
+                   (src/distributions/numeric.{h,cc}), the two-pass
+                   oracle of MaxMoments' one-pass max-moments
+                   quadrature.
 
 Scanned: *.h, *.cc and *.cpp under src/, tests/, bench/, tools/ and
 examples/.
@@ -83,9 +86,23 @@ RAW_MUTEX_RE = re.compile(
 DOUBLE_FMT_RE = re.compile(r"%[-+ #0-9.*]*[efgEFG]")
 PARENT_INCLUDE_RE = re.compile(r'#\s*include\s+"\.\./')
 DOC_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
-ORACLE_CALL_RE = re.compile(r"\b(SolveOverlapMva|ComputeOverlapFactors)\s*\(")
-ORACLE_HOMES = ("src/queueing/mva_overlap.h", "src/queueing/mva_overlap.cc",
-                "src/model/overlap.h", "src/model/overlap.cc")
+# Each oracle: the only files in src/ and tools/ that may call it, and
+# what production code uses instead.
+ORACLES = {
+    "SolveOverlapMva": (
+        ("src/queueing/mva_overlap.h", "src/queueing/mva_overlap.cc"),
+        "the per-task A4 oracle; production code solves through "
+        "SolveGroupedOverlapMva"),
+    "ComputeOverlapFactors": (
+        ("src/model/overlap.h", "src/model/overlap.cc"),
+        "the per-task A4 oracle; production code uses "
+        "ComputeGroupedOverlapFactors"),
+    "IntegrateAdaptiveSimpson": (
+        ("src/distributions/numeric.h", "src/distributions/numeric.cc"),
+        "the two-pass quadrature oracle; production code integrates both "
+        "max-moments in MaxMoments' one pass"),
+}
+ORACLE_CALL_RE = re.compile(r"\b(" + "|".join(ORACLES) + r")\s*\(")
 BLOCKING_IO_RE = re.compile(
     r"(^|[^\w.])(::)?\s*(read|write|recv|recvfrom|recvmsg|send|sendto|"
     r"sendmsg|accept4?|pread|pwrite)\s*\(")
@@ -152,7 +169,6 @@ def check_file(path, root, findings):
     in_src_or_tools = in_src or rel.startswith("tools/")
     is_random_impl = rel.startswith("src/common/random.")
     is_annotations = rel == "src/common/thread_annotations.h"
-    oracle_banned = in_src_or_tools and rel not in ORACLE_HOMES
     # Files that must stay pure dispatch/routing logic: no I/O syscalls.
     # The event loop only dispatches readiness; predictd's server and
     # the fleet router only answer or route lines — sockets belong to
@@ -187,15 +203,14 @@ def check_file(path, root, findings):
                     "banned nondeterminism source; use common/random.h "
                     "(seeded) instead"))
 
-        if oracle_banned:
+        if in_src_or_tools:
             m = ORACLE_CALL_RE.search(code)
-            if m and not allowed(raw, "oracle-only", prev):
+            if (m and rel not in ORACLES[m.group(1)][0]
+                    and not allowed(raw, "oracle-only", prev)):
                 findings.append(Finding(
                     path, lineno, "oracle-only",
-                    f"{m.group(1)} is the per-task A4 oracle; production "
-                    "code solves through SolveGroupedOverlapMva / "
-                    "ComputeGroupedOverlapFactors (tests and benches may "
-                    "call the oracle)"))
+                    f"{m.group(1)} is {ORACLES[m.group(1)][1]} (tests and "
+                    "benches may call the oracle)"))
 
         if is_io_free_zone:
             if BLOCKING_IO_RE.search(code) and not allowed(raw, "blocking-io", prev):
