@@ -40,9 +40,9 @@ Result<double> IntegrateAdaptiveSimpson(
   if (!(b >= a)) {
     return Status::InvalidArgument("integration bounds must satisfy b >= a");
   }
-  // A NaN tolerance would pass `abs_tol <= 0` and then fail every stop
-  // test, splitting [a, b] into 2^max_depth subintervals.
-  if (!(abs_tol > 0) || !std::isfinite(abs_tol)) {
+  // `abs_tol <= 0` alone lets a NaN through, and a NaN fails every stop
+  // test: the recursion would split [a, b] into 2^max_depth subintervals.
+  if (!std::isfinite(abs_tol) || abs_tol <= 0) {
     return Status::InvalidArgument(
         "integration tolerance must be positive and finite");
   }
