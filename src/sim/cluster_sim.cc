@@ -5,7 +5,6 @@
 #include <cmath>
 #include <deque>
 #include <map>
-#include <string>
 
 #include "common/logging.h"
 
@@ -39,7 +38,6 @@ struct ClusterSimulator::Impl {
   std::vector<NodeState> nodes;
   // Per node: [cpu, disk, net] processor-sharing stations.
   std::vector<std::array<std::unique_ptr<PsResource>, 3>> stations;
-  std::map<std::string, int> host_map;
   std::unique_ptr<SchedulerInterface> scheduler;
 
   struct ReduceShuffleState {
@@ -121,14 +119,10 @@ struct ClusterSimulator::Impl {
       const Resource capacity = cluster.NodeCapacity(i);
       nodes.emplace_back(i, capacity);
       std::array<std::unique_ptr<PsResource>, 3> st;
-      st[0] = std::make_unique<PsResource>(
-          &queue, "cpu" + std::to_string(i), capacity.vcores);
-      st[1] = std::make_unique<PsResource>(
-          &queue, "disk" + std::to_string(i), cluster.node.disks);
-      st[2] = std::make_unique<PsResource>(&queue,
-                                           "net" + std::to_string(i), 1);
+      st[0] = std::make_unique<PsResource>(&queue, capacity.vcores);
+      st[1] = std::make_unique<PsResource>(&queue, cluster.node.disks);
+      st[2] = std::make_unique<PsResource>(&queue, 1);
       stations.push_back(std::move(st));
-      host_map["node" + std::to_string(i)] = i;
     }
     return Status::OK();
   }
@@ -269,7 +263,7 @@ struct ClusterSimulator::Impl {
           std::max(1, total_tasks - done) * job.map_cost.TotalSeconds();
       (void)scheduler->SetRemainingWorkHint(job.am->app_id(), remaining);
     }
-    auto granted = scheduler->Assign(nodes, host_map);
+    auto granted = scheduler->Assign(nodes);
     if (!granted.ok()) {
       Fail(granted.status());
       return;

@@ -15,8 +15,8 @@ constexpr double kCompletionEpsilon = 1e-9;
 
 }  // namespace
 
-PsResource::PsResource(EventQueue* queue, std::string name, int servers)
-    : queue_(queue), name_(std::move(name)), servers_(servers) {
+PsResource::PsResource(EventQueue* queue, int servers)
+    : queue_(queue), servers_(servers) {
   MRPERF_CHECK(queue != nullptr) << "PsResource requires an event queue";
   MRPERF_CHECK(servers >= 1) << "PsResource requires servers >= 1";
 }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 
 #include "common/status.h"
 #include "sim/event_queue.h"
@@ -25,9 +24,8 @@ class PsResource {
   using CompletionFn = std::function<void(double elapsed)>;
 
   /// \param queue the simulation clock/event queue (not owned)
-  /// \param name diagnostic label
   /// \param servers number of identical servers (>= 1)
-  PsResource(EventQueue* queue, std::string name, int servers);
+  PsResource(EventQueue* queue, int servers);
 
   /// Submits a request needing `demand` seconds of dedicated service.
   /// `on_done(elapsed)` fires when it completes; `elapsed` is the wall
@@ -35,15 +33,9 @@ class PsResource {
   /// complete immediately (on the next event).
   Status Submit(double demand, CompletionFn on_done);
 
-  /// Requests currently in service.
-  int Active() const { return static_cast<int>(jobs_.size()); }
-
   /// Cumulative busy integral (sum over time of min(active, servers)),
   /// for utilization accounting.
   double BusyIntegral() const;
-
-  const std::string& name() const { return name_; }
-  int servers() const { return servers_; }
 
  private:
   struct Job {
@@ -62,7 +54,6 @@ class PsResource {
   void OnCompletionEvent(uint64_t version);
 
   EventQueue* queue_;
-  std::string name_;
   int servers_;
   int64_t next_id_ = 0;
   std::map<int64_t, Job> jobs_;

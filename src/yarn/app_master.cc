@@ -55,9 +55,7 @@ std::vector<ResourceRequest> AppMaster::BuildRequests() {
     req.num_containers = 1;
     req.priority = map_priority_;
     req.capability = plan_.map_capability;
-    req.locality = t.preferred_node >= 0
-                       ? "node" + std::to_string(t.preferred_node)
-                       : "*";
+    req.node = t.preferred_node;
     req.type = TaskType::kMap;
     out.push_back(req);
     t.state = TaskLifecycleState::kScheduled;
@@ -88,7 +86,7 @@ std::vector<ResourceRequest> AppMaster::BuildRequests() {
       req.num_containers = 1;
       req.priority = reduce_priority_;
       req.capability = plan_.reduce_capability;
-      req.locality = "*";  // map output locality is not considered
+      req.node = kAnyNode;  // map output locality is not considered
       req.type = TaskType::kReduce;
       out.push_back(req);
       t.state = TaskLifecycleState::kScheduled;

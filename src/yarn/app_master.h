@@ -28,8 +28,8 @@ struct AmTask {
   int index = -1;
   TaskType type = TaskType::kMap;
   TaskLifecycleState state = TaskLifecycleState::kPending;
-  /// Preferred host for data-local execution (maps only); -1 = any.
-  int preferred_node = -1;
+  /// Preferred node for data-local execution (maps only), or kAnyNode.
+  int preferred_node = kAnyNode;
   /// Node the task actually runs on once assigned.
   int assigned_node = -1;
   int64_t container_id = -1;
@@ -42,7 +42,7 @@ struct AmPlan {
   int num_reduces = 0;
   Resource map_capability;
   Resource reduce_capability;
-  /// preferred_nodes[i]: node holding the i-th split's data (-1 = any).
+  /// preferred_nodes[i]: node holding the i-th split's data, or kAnyNode.
   std::vector<int> map_preferred_nodes;
 };
 

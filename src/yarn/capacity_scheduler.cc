@@ -4,15 +4,6 @@
 
 namespace mrperf {
 
-bool AppDemand::Empty() const {
-  for (const auto& [prio, reqs] : by_priority) {
-    for (const auto& r : reqs) {
-      if (r.num_containers > 0) return false;
-    }
-  }
-  return true;
-}
-
 int64_t AppDemand::TotalContainers() const {
   int64_t total = 0;
   for (const auto& [prio, reqs] : by_priority) {
@@ -65,15 +56,8 @@ Status CapacityScheduler::SubmitRequests(
 }
 
 Result<std::vector<Container>> CapacityScheduler::Assign(
-    std::vector<NodeState>& nodes,
-    const std::map<std::string, int>& node_of_host) {
+    std::vector<NodeState>& nodes) {
   std::vector<Container> granted;
-  auto find_node = [&nodes](int id) -> NodeState* {
-    for (auto& node : nodes) {
-      if (node.id() == id) return &node;
-    }
-    return nullptr;
-  };
   // FIFO across applications: the head application drains its demand first
   // (single root queue, priority to the first application requesting
   // resources — paper §4.2.2 assumption 1).
@@ -82,19 +66,11 @@ Result<std::vector<Container>> CapacityScheduler::Assign(
     for (auto& [prio, reqs] : app.by_priority) {
       for (auto& req : reqs) {
         while (req.num_containers > 0) {
-          NodeState* target = nullptr;
-          if (req.locality != "*") {
-            auto it = node_of_host.find(req.locality);
-            if (it != node_of_host.end()) {
-              NodeState* local = find_node(it->second);
-              if (local != nullptr && local->CanFit(req.capability)) {
-                target = local;
-              }
-            }
-          }
-          if (target == nullptr) {
-            // Fall back to (or directly use, for "*" requests) the node
-            // with the lowest occupancy rate that fits.
+          NodeState* target = RequestedNode(nodes, req.node);
+          if (target == nullptr || !target->CanFit(req.capability)) {
+            // Fall back to (or directly use, for kAnyNode requests) the
+            // node with the lowest occupancy rate that fits.
+            target = nullptr;
             double best = 2.0;
             for (auto& node : nodes) {
               if (!node.CanFit(req.capability)) continue;

@@ -24,7 +24,6 @@ struct AppDemand {
   /// priority -> outstanding requests at that priority (scheduled state).
   std::map<int, std::vector<ResourceRequest>, std::greater<int>> by_priority;
 
-  bool Empty() const;
   int64_t TotalContainers() const;
 };
 
@@ -33,8 +32,8 @@ struct AppDemand {
 /// Applications register in submission order; `Assign` hands out containers
 /// for the node set, serving applications FIFO and, within an application,
 /// higher priorities first (maps before reduces, §3.3). Placement prefers
-/// the requested host, then falls back to any host for "*" requests,
-/// choosing the node with the lowest occupancy rate.
+/// the requested node, then falls back to (or, for kAnyNode requests,
+/// goes straight to) the node with the lowest occupancy rate.
 class CapacityScheduler : public SchedulerInterface {
  public:
   /// Registers an application; FIFO position is registration order.
@@ -49,13 +48,11 @@ class CapacityScheduler : public SchedulerInterface {
       int64_t app_id,
       const std::vector<ResourceRequest>& requests) override;
 
-  /// Attempts to satisfy outstanding demand against `nodes`. Returns the
-  /// containers granted this round (possibly empty); grants update node
-  /// accounting in place. `node_of_host` maps locality strings to node ids
-  /// (unknown hosts are treated as "*").
-  Result<std::vector<Container>> Assign(
-      std::vector<NodeState>& nodes,
-      const std::map<std::string, int>& node_of_host = {}) override;
+  /// Attempts to satisfy outstanding demand against `nodes`, indexed by
+  /// node id. Returns the containers granted this round (possibly empty);
+  /// grants update node accounting in place. A request naming an id
+  /// outside `nodes` is treated as kAnyNode.
+  Result<std::vector<Container>> Assign(std::vector<NodeState>& nodes) override;
 
   /// Total queued containers across applications.
   int64_t PendingContainers() const override;

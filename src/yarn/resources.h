@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/status.h"
 
@@ -48,6 +47,11 @@ struct Resource {
   bool IsNonNegative() const { return memory_bytes >= 0 && vcores >= 0; }
 };
 
+/// \brief Node id a request may name to accept a container on any node
+/// (§4.2.2: reduce requests ask for a container on any host). Node ids
+/// are the cluster's node indices, 0 to N−1.
+constexpr int kAnyNode = -1;
+
 /// \brief Type of work a container is requested for.
 enum class TaskType { kMap, kReduce, kAppMaster };
 
@@ -73,9 +77,8 @@ struct ResourceRequest {
   /// reduces (§3.3). There is no cross-application priority implication.
   int priority = 0;
   Resource capability;
-  /// Requested host name, or "*" for any host/rack (§4.2.2: reduce
-  /// requests ask for a container on any host).
-  std::string locality = "*";
+  /// Requested node id (the node holding a map's split), or kAnyNode.
+  int node = kAnyNode;
   TaskType type = TaskType::kMap;
 };
 

@@ -10,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -36,11 +34,10 @@ class SchedulerInterface {
   virtual Status SubmitRequests(
       int64_t app_id, const std::vector<ResourceRequest>& requests) = 0;
 
-  /// Attempts to place outstanding demand on `nodes`; grants update the
-  /// node accounting in place.
+  /// Attempts to place outstanding demand on `nodes`, indexed by node id
+  /// (`nodes[i].id() == i`); grants update the node accounting in place.
   virtual Result<std::vector<Container>> Assign(
-      std::vector<NodeState>& nodes,
-      const std::map<std::string, int>& node_of_host) = 0;
+      std::vector<NodeState>& nodes) = 0;
 
   /// Outstanding queued containers.
   virtual int64_t PendingContainers() const = 0;
@@ -54,5 +51,13 @@ class SchedulerInterface {
     return Status::OK();
   }
 };
+
+/// \brief The node a request names, or nullptr when `node` is kAnyNode or
+/// any other id outside `nodes` (such a request may run on any node).
+/// `nodes` is indexed by id, as `SchedulerInterface::Assign` receives it.
+inline NodeState* RequestedNode(std::vector<NodeState>& nodes, int node) {
+  if (node < 0 || node >= static_cast<int>(nodes.size())) return nullptr;
+  return &nodes[static_cast<size_t>(node)];
+}
 
 }  // namespace mrperf

@@ -86,15 +86,8 @@ double TetrisScheduler::Alignment(const Resource& capability,
 }
 
 Result<std::vector<Container>> TetrisScheduler::Assign(
-    std::vector<NodeState>& nodes,
-    const std::map<std::string, int>& node_of_host) {
+    std::vector<NodeState>& nodes) {
   std::vector<Container> granted;
-  auto find_node = [&nodes](int id) -> NodeState* {
-    for (auto& node : nodes) {
-      if (node.id() == id) return &node;
-    }
-    return nullptr;
-  };
 
   // Greedy packing loop: repeatedly place the globally best-scoring
   // (request, node) pair until nothing fits.
@@ -109,14 +102,8 @@ Result<std::vector<Container>> TetrisScheduler::Assign(
           app_it != apps_.end() ? app_it->second.remaining_work : 1.0;
       const double srtf_bonus = options_.srtf_weight / remaining;
 
-      // Preferred host first, then all nodes.
-      NodeState* local = nullptr;
-      if (pending.request.locality != "*") {
-        auto host_it = node_of_host.find(pending.request.locality);
-        if (host_it != node_of_host.end()) {
-          local = find_node(host_it->second);
-        }
-      }
+      // Score every node; the requested one gets the locality bonus.
+      const NodeState* local = RequestedNode(nodes, pending.request.node);
       double req_best = -1.0;
       NodeState* req_node = nullptr;
       for (auto& node : nodes) {

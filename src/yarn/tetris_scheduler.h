@@ -33,7 +33,7 @@ namespace mrperf {
 struct TetrisOptions {
   /// Weight of the shortest-remaining-time term relative to alignment.
   double srtf_weight = 0.3;
-  /// Honour request locality when the preferred host ties within this
+  /// Honour request locality when the requested node ties within this
   /// score fraction of the best node.
   double locality_tolerance = 0.1;
 };
@@ -48,9 +48,7 @@ class TetrisScheduler : public SchedulerInterface {
   Status SubmitRequests(
       int64_t app_id,
       const std::vector<ResourceRequest>& requests) override;
-  Result<std::vector<Container>> Assign(
-      std::vector<NodeState>& nodes,
-      const std::map<std::string, int>& node_of_host = {}) override;
+  Result<std::vector<Container>> Assign(std::vector<NodeState>& nodes) override;
   int64_t PendingContainers() const override;
   Status SetRemainingWorkHint(int64_t app_id, double seconds) override;
 

@@ -9,7 +9,7 @@ namespace {
 
 TEST(PsResourceTest, SingleJobRunsAtFullSpeed) {
   EventQueue q;
-  PsResource disk(&q, "disk", 1);
+  PsResource disk(&q, 1);
   double elapsed = -1.0;
   ASSERT_TRUE(disk.Submit(5.0, [&](double e) { elapsed = e; }).ok());
   ASSERT_TRUE(q.Run().ok());
@@ -20,7 +20,7 @@ TEST(PsResourceTest, SingleJobRunsAtFullSpeed) {
 TEST(PsResourceTest, TwoJobsShareOneServer) {
   // Two equal jobs on one PS server each take twice their demand.
   EventQueue q;
-  PsResource disk(&q, "disk", 1);
+  PsResource disk(&q, 1);
   std::vector<double> elapsed;
   for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(disk.Submit(3.0, [&](double e) { elapsed.push_back(e); }).ok());
@@ -33,7 +33,7 @@ TEST(PsResourceTest, TwoJobsShareOneServer) {
 
 TEST(PsResourceTest, MultiServerNoSlowdownBelowCapacity) {
   EventQueue q;
-  PsResource cpu(&q, "cpu", 4);
+  PsResource cpu(&q, 4);
   std::vector<double> elapsed;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(cpu.Submit(2.0, [&](double e) { elapsed.push_back(e); }).ok());
@@ -44,7 +44,7 @@ TEST(PsResourceTest, MultiServerNoSlowdownBelowCapacity) {
 
 TEST(PsResourceTest, OverloadedMultiServerSlowsProportionally) {
   EventQueue q;
-  PsResource cpu(&q, "cpu", 2);
+  PsResource cpu(&q, 2);
   std::vector<double> elapsed;
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(cpu.Submit(2.0, [&](double e) { elapsed.push_back(e); }).ok());
@@ -56,7 +56,7 @@ TEST(PsResourceTest, OverloadedMultiServerSlowsProportionally) {
 
 TEST(PsResourceTest, StaggeredArrivalSpeedsUpAfterDeparture) {
   EventQueue q;
-  PsResource disk(&q, "disk", 1);
+  PsResource disk(&q, 1);
   double first = -1, second = -1;
   ASSERT_TRUE(disk.Submit(2.0, [&](double e) { first = e; }).ok());
   ASSERT_TRUE(q.ScheduleAt(1.0,
@@ -76,7 +76,7 @@ TEST(PsResourceTest, StaggeredArrivalSpeedsUpAfterDeparture) {
 
 TEST(PsResourceTest, ZeroDemandCompletesImmediately) {
   EventQueue q;
-  PsResource disk(&q, "disk", 1);
+  PsResource disk(&q, 1);
   double elapsed = -1.0;
   ASSERT_TRUE(disk.Submit(0.0, [&](double e) { elapsed = e; }).ok());
   ASSERT_TRUE(q.Run().ok());
@@ -85,14 +85,14 @@ TEST(PsResourceTest, ZeroDemandCompletesImmediately) {
 
 TEST(PsResourceTest, NegativeDemandRejected) {
   EventQueue q;
-  PsResource disk(&q, "disk", 1);
+  PsResource disk(&q, 1);
   EXPECT_FALSE(disk.Submit(-1.0, [](double) {}).ok());
   EXPECT_FALSE(disk.Submit(1.0, nullptr).ok());
 }
 
 TEST(PsResourceTest, BusyIntegralTracksUtilization) {
   EventQueue q;
-  PsResource disk(&q, "disk", 1);
+  PsResource disk(&q, 1);
   ASSERT_TRUE(disk.Submit(3.0, [](double) {}).ok());
   ASSERT_TRUE(disk.Submit(3.0, [](double) {}).ok());
   ASSERT_TRUE(q.Run().ok());
@@ -103,7 +103,7 @@ TEST(PsResourceTest, BusyIntegralTracksUtilization) {
 TEST(PsResourceTest, CompletionCallbackCanResubmit) {
   // Phase chaining: the completion of one phase submits the next.
   EventQueue q;
-  PsResource disk(&q, "disk", 1);
+  PsResource disk(&q, 1);
   double done_at = -1.0;
   ASSERT_TRUE(disk.Submit(1.0,
                           [&](double) {
@@ -119,7 +119,7 @@ TEST(PsResourceTest, CompletionCallbackCanResubmit) {
 TEST(PsResourceTest, ManyJobsConservesWork) {
   // Total busy time must equal total demand when the server never idles.
   EventQueue q;
-  PsResource disk(&q, "disk", 1);
+  PsResource disk(&q, 1);
   double total = 0.0;
   for (int i = 0; i < 20; ++i) {
     const double d = 0.5 + 0.1 * i;

@@ -43,10 +43,10 @@ TEST(AppMasterTest, MapRequestsCarryLocality) {
   AppMaster am(1, MakePlan(4, 0), HadoopConfig());
   auto reqs = am.BuildRequests();
   ASSERT_EQ(reqs.size(), 4u);
-  EXPECT_EQ(reqs[0].locality, "node0");
-  EXPECT_EQ(reqs[1].locality, "node1");
-  EXPECT_EQ(reqs[2].locality, "node2");
-  EXPECT_EQ(reqs[3].locality, "node3");
+  EXPECT_EQ(reqs[0].node, 0);
+  EXPECT_EQ(reqs[1].node, 1);
+  EXPECT_EQ(reqs[2].node, 2);
+  EXPECT_EQ(reqs[3].node, 3);
 }
 
 TEST(AppMasterTest, RequestsNotRepeated) {
@@ -103,7 +103,7 @@ TEST(AppMasterTest, SlowStartGatesReduces) {
   for (const auto& r : reduce_reqs) {
     EXPECT_EQ(r.type, TaskType::kReduce);
     EXPECT_EQ(r.priority, 10);
-    EXPECT_EQ(r.locality, "*");  // map output locality not considered
+    EXPECT_EQ(r.node, kAnyNode);  // map output locality not considered
   }
 }
 

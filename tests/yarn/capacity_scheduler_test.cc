@@ -16,12 +16,12 @@ std::vector<NodeState> MakeNodes(int n, int64_t capacity = 8 * kGiB) {
 }
 
 ResourceRequest Req(int count, int priority, TaskType type,
-                    const std::string& locality = "*") {
+                    int node = kAnyNode) {
   ResourceRequest r;
   r.num_containers = count;
   r.priority = priority;
   r.capability = Resource{1 * kGiB, 1};
-  r.locality = locality;
+  r.node = node;
   r.type = type;
   return r;
 }
@@ -110,11 +110,9 @@ TEST(CapacitySchedulerTest, NoCrossApplicationPriority) {
 TEST(CapacitySchedulerTest, LocalityPreferred) {
   CapacityScheduler sched;
   auto nodes = MakeNodes(3);
-  std::map<std::string, int> hosts{{"node0", 0}, {"node1", 1}, {"node2", 2}};
   ASSERT_TRUE(sched.RegisterApplication(1).ok());
-  ASSERT_TRUE(
-      sched.SubmitRequests(1, {Req(1, 20, TaskType::kMap, "node2")}).ok());
-  auto granted = sched.Assign(nodes, hosts);
+  ASSERT_TRUE(sched.SubmitRequests(1, {Req(1, 20, TaskType::kMap, 2)}).ok());
+  auto granted = sched.Assign(nodes);
   ASSERT_TRUE(granted.ok());
   ASSERT_EQ(granted->size(), 1u);
   EXPECT_EQ((*granted)[0].node, 2);
@@ -123,16 +121,13 @@ TEST(CapacitySchedulerTest, LocalityPreferred) {
 TEST(CapacitySchedulerTest, LocalityFallsBackWhenHostFull) {
   CapacityScheduler sched;
   auto nodes = MakeNodes(2, 1 * kGiB);
-  std::map<std::string, int> hosts{{"node0", 0}, {"node1", 1}};
   ASSERT_TRUE(sched.RegisterApplication(1).ok());
-  // Fill node0 first.
-  ASSERT_TRUE(
-      sched.SubmitRequests(1, {Req(1, 20, TaskType::kMap, "node0")}).ok());
-  ASSERT_TRUE(sched.Assign(nodes, hosts).ok());
-  // Second node0-local request must fall back to node1.
-  ASSERT_TRUE(
-      sched.SubmitRequests(1, {Req(1, 20, TaskType::kMap, "node0")}).ok());
-  auto granted = sched.Assign(nodes, hosts);
+  // Fill node 0 first.
+  ASSERT_TRUE(sched.SubmitRequests(1, {Req(1, 20, TaskType::kMap, 0)}).ok());
+  ASSERT_TRUE(sched.Assign(nodes).ok());
+  // A second node-0 request must fall back to node 1.
+  ASSERT_TRUE(sched.SubmitRequests(1, {Req(1, 20, TaskType::kMap, 0)}).ok());
+  auto granted = sched.Assign(nodes);
   ASSERT_TRUE(granted.ok());
   ASSERT_EQ(granted->size(), 1u);
   EXPECT_EQ((*granted)[0].node, 1);
@@ -151,14 +146,18 @@ TEST(CapacitySchedulerTest, AnyHostPicksLowestOccupancy) {
 }
 
 TEST(CapacitySchedulerTest, UnknownLocalityTreatedAsAny) {
+  // Ids outside the node vector, on either side, mean any node.
   CapacityScheduler sched;
   auto nodes = MakeNodes(1);
   ASSERT_TRUE(sched.RegisterApplication(1).ok());
-  ASSERT_TRUE(
-      sched.SubmitRequests(1, {Req(1, 20, TaskType::kMap, "rackX")}).ok());
-  auto granted = sched.Assign(nodes, {{"node0", 0}});
+  ASSERT_TRUE(sched.SubmitRequests(1, {Req(1, 20, TaskType::kMap, 1),
+                                       Req(1, 20, TaskType::kMap, -7)})
+                  .ok());
+  auto granted = sched.Assign(nodes);
   ASSERT_TRUE(granted.ok());
-  EXPECT_EQ(granted->size(), 1u);
+  ASSERT_EQ(granted->size(), 2u);
+  EXPECT_EQ((*granted)[0].node, 0);
+  EXPECT_EQ((*granted)[1].node, 0);
 }
 
 TEST(CapacitySchedulerTest, InvalidRequestsRejected) {
@@ -185,17 +184,16 @@ TEST(CapacitySchedulerTest, ContainerIdsUniqueAndIncreasing) {
 }
 
 TEST(CapacitySchedulerTest, Table1RunningExample) {
-  // Table 1 of the paper: n=3 nodes, 2 maps on node1, 2 maps on node2,
+  // Table 1 of the paper: n=3 nodes, 2 maps on node 1, 2 maps on node 2,
   // 1 reduce anywhere; maps priority 20, reduce priority 10.
   CapacityScheduler sched;
   auto nodes = MakeNodes(3);
-  std::map<std::string, int> hosts{{"node0", 0}, {"node1", 1}, {"node2", 2}};
   ASSERT_TRUE(sched.RegisterApplication(1).ok());
-  ASSERT_TRUE(sched.SubmitRequests(1, {Req(2, 20, TaskType::kMap, "node1"),
-                                       Req(2, 20, TaskType::kMap, "node2"),
+  ASSERT_TRUE(sched.SubmitRequests(1, {Req(2, 20, TaskType::kMap, 1),
+                                       Req(2, 20, TaskType::kMap, 2),
                                        Req(1, 10, TaskType::kReduce)})
                   .ok());
-  auto granted = sched.Assign(nodes, hosts);
+  auto granted = sched.Assign(nodes);
   ASSERT_TRUE(granted.ok());
   ASSERT_EQ(granted->size(), 5u);
   // First four grants are the maps, last is the reduce.

@@ -18,13 +18,12 @@ std::vector<NodeState> MakeNodes(int n, int64_t capacity = 8 * kGiB,
 }
 
 ResourceRequest Req(int count, Resource capability,
-                    TaskType type = TaskType::kMap,
-                    const std::string& locality = "*") {
+                    TaskType type = TaskType::kMap, int node = kAnyNode) {
   ResourceRequest r;
   r.num_containers = count;
   r.priority = 20;
   r.capability = capability;
-  r.locality = locality;
+  r.node = node;
   r.type = type;
   return r;
 }
@@ -87,13 +86,11 @@ TEST(TetrisTest, SrtfPrefersShortJob) {
 TEST(TetrisTest, LocalityBonusBreaksTies) {
   TetrisScheduler sched;
   auto nodes = MakeNodes(3);
-  std::map<std::string, int> hosts{{"node0", 0}, {"node1", 1}, {"node2", 2}};
   ASSERT_TRUE(sched.RegisterApplication(1).ok());
-  ASSERT_TRUE(sched.SubmitRequests(
-                       1, {Req(1, Resource{1 * kGiB, 1}, TaskType::kMap,
-                               "node2")})
-                  .ok());
-  auto granted = sched.Assign(nodes, hosts);
+  const ResourceRequest on_node2 =
+      Req(1, Resource{1 * kGiB, 1}, TaskType::kMap, 2);
+  ASSERT_TRUE(sched.SubmitRequests(1, {on_node2}).ok());
+  auto granted = sched.Assign(nodes);
   ASSERT_TRUE(granted.ok());
   ASSERT_EQ(granted->size(), 1u);
   EXPECT_EQ((*granted)[0].node, 2);
@@ -139,7 +136,7 @@ TEST(TetrisTest, ReducesFragmentationVsFifo) {
     EXPECT_TRUE(sched
                     .SubmitRequests(2, {Req(4, Resource{2 * kGiB, 2})})
                     .ok());
-    auto granted = sched.Assign(nodes, {});
+    auto granted = sched.Assign(nodes);
     EXPECT_TRUE(granted.ok());
     return granted->size();
   };
