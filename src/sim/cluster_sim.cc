@@ -153,6 +153,18 @@ struct ClusterSimulator::Impl {
     MRPERF_ASSIGN_OR_RETURN(job.map_cost, job.model->CostMapTask(split));
     job.map_output_bytes = job.map_cost.output_bytes;
     const int total_nodes = cluster.TotalNodes();
+    // A container that fits no node is never granted: the job would wait
+    // for it until max_sim_time.
+    int64_t largest_node = 0;
+    for (int i = 0; i < total_nodes; ++i) {
+      largest_node =
+          std::max(largest_node, cluster.NodeCapacity(i).memory_bytes);
+    }
+    const int64_t container = std::max(job.spec.config.map_container_bytes,
+                                       job.spec.config.reduce_container_bytes);
+    if (container > largest_node) {
+      return Status::InvalidArgument("no node can hold the job's containers");
+    }
     if (num_reduces > 0) {
       // Placement-independent parts only; the shuffle itself is simulated
       // segment-by-segment, so remote_fraction here only sets the record's

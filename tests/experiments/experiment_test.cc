@@ -61,6 +61,11 @@ TEST(ExperimentTest, InvalidPointsRejected) {
   point = ExperimentPoint();
   point.num_jobs = 0;
   EXPECT_FALSE(RunExperiment(point, FastOptions()).ok());
+  // A cluster shape that parses and validates but whose nodes cannot
+  // hold the 2 GiB containers is rejected before any simulation runs.
+  point = ExperimentPoint();
+  point.scenario.cluster = {ClusterNodeGroup{4, Resource{1024 * kMiB, 4}}};
+  EXPECT_TRUE(RunExperiment(point, FastOptions()).status().IsInvalidArgument());
 }
 
 TEST(ExperimentTest, ZeroRepetitionsRejected) {

@@ -254,6 +254,15 @@ TEST(ClusterSimTest, InvalidSubmissionsRejected) {
   spec = WordCountJob(1 * kGiB);
   spec.submit_time = -1.0;
   EXPECT_FALSE(sim.SubmitJob(spec).ok());
+  // 2 GiB containers fit no 1 GiB node, uniform or grouped; accepted,
+  // such a job would wait for its AM container until max_sim_time.
+  ClusterConfig small = PaperCluster(4);
+  small.node_capacity_bytes = 1 * kGiB;
+  ClusterSimulator uniform(small, FastSim());
+  EXPECT_TRUE(uniform.SubmitJob(WordCountJob(1 * kGiB)).IsInvalidArgument());
+  small.node_groups = {ClusterNodeGroup{4, Resource{1 * kGiB, 4}}};
+  ClusterSimulator grouped(small, FastSim());
+  EXPECT_TRUE(grouped.SubmitJob(WordCountJob(1 * kGiB)).IsInvalidArgument());
 }
 
 TEST(ClusterSimTest, RunWithoutJobsFails) {
