@@ -72,10 +72,6 @@ void EventLoop::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-bool EventLoop::IsLoopThread() const {
-  return started_.load() && std::this_thread::get_id() == thread_.get_id();
-}
-
 Status EventLoop::Add(int fd, uint32_t events, Handler* handler) {
   epoll_event event{};
   event.events = events;

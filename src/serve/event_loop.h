@@ -67,10 +67,6 @@ class EventLoop {
   /// called afterwards. Idempotent.
   void Stop();
 
-  /// True iff the caller is the loop thread (registration discipline,
-  /// assertions).
-  bool IsLoopThread() const;
-
   /// Registers `fd` (must be nonblocking) for `events`, dispatching to
   /// `handler`. Loop thread only. The handler must stay valid until
   /// Remove(fd).

@@ -114,17 +114,6 @@ void PredictService::RejectRequestErrorTo(
   Respond(done, MakeErrorResponse(id, code, message));
 }
 
-std::future<std::string> PredictService::RejectRequestError(
-    const std::optional<std::string>& id, ServeErrorCode code,
-    const std::string& message) {
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  RejectRequestErrorTo(id, code, message, [promise](std::string response) {
-    promise->set_value(std::move(response));
-  });
-  return future;
-}
-
 std::future<std::string> PredictService::Submit(
     const std::string& request_line) {
   auto promise = std::make_shared<std::promise<std::string>>();

@@ -158,11 +158,6 @@ class PredictService {
                             ServeErrorCode code, const std::string& message,
                             ResponseCallback done);
 
-  /// Future-flavored RejectRequestErrorTo.
-  std::future<std::string> RejectRequestError(
-      const std::optional<std::string>& id, ServeErrorCode code,
-      const std::string& message);
-
   /// Stops admitting predict requests; already-admitted ones keep
   /// evaluating. Idempotent.
   void BeginDrain();
